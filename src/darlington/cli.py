@@ -19,6 +19,8 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import os
 import sys
 
@@ -74,6 +76,8 @@ def _resolve_seed(arg_seed):
                 seed = int(env)
             except ValueError:
                 raise FileFormatError("DARLINGTON_SEED must be an integer, got %r" % env)
+            if seed < 0:
+                raise FileFormatError("DARLINGTON_SEED must be >= 0, got %d" % seed)
         else:
             seed = DEFAULT_SEED
     if seed == 0:
@@ -292,6 +296,8 @@ def _cmd_eval(args):
     if len(point) != f.d:
         raise FileFormatError("--at gave %d coordinates for a %d-variable function"
                               % (len(point), f.d))
+    if not all(cmath.isfinite(c) for c in point):
+        raise FileFormatError("--at coordinates must be finite, got %s" % args.at)
     value = f.eval(np.array(point), args.den_floor)
     payload = _report(
         "eval",
@@ -311,21 +317,48 @@ def _cmd_eval(args):
 # parser
 
 
+def _int_at_least(lower):
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        if value < lower:
+            raise argparse.ArgumentTypeError("expected an integer >= %d, got %d" % (lower, value))
+        return value
+    return parse
+
+
+def _finite_float(positive):
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected a number, got %r" % text)
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(
+                "expected a finite number %s 0, got %r" % (">" if positive else ">=", text))
+        return value
+    return parse
+
+
 def _add_common(sub, sampling=True):
     sub.add_argument("function", help="function JSON path, or - for stdin")
     sub.add_argument("-o", "--output", default=None,
                      help="write the JSON result here instead of stdout")
+    positive, nonnegative = _finite_float(True), _finite_float(False)
     if sampling:
-        sub.add_argument("--seed", type=int, default=None,
+        sub.add_argument("--seed", type=_int_at_least(0), default=None,
                          help="RNG seed (0 = OS entropy; default: $DARLINGTON_SEED or %d)"
                               % DEFAULT_SEED)
-        sub.add_argument("--samples", type=int, default=200)
-        sub.add_argument("--box-radius", type=float, default=10.0)
-        sub.add_argument("--imag-floor", type=float, default=1e-3)
+        sub.add_argument("--samples", type=_int_at_least(1), default=200)
+        sub.add_argument("--box-radius", type=positive, default=10.0)
+        sub.add_argument("--imag-floor", type=positive, default=1e-3,
+                         help="smallest sampled imaginary part; must be below --box-radius")
         sub.add_argument("--no-edge-points", action="store_true")
-        sub.add_argument("--psd-slack", type=float, default=1e-8)
-        sub.add_argument("--reality-slack", type=float, default=1e-8)
-    sub.add_argument("--den-floor", type=float, default=1e-12)
+        sub.add_argument("--psd-slack", type=nonnegative, default=1e-8)
+        sub.add_argument("--reality-slack", type=nonnegative, default=1e-8)
+    sub.add_argument("--den-floor", type=nonnegative, default=1e-12)
 
 
 def build_parser():
@@ -373,6 +406,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "box_radius"):
+        if args.imag_floor >= args.box_radius:
+            parser.error("--imag-floor (%r) must be below --box-radius (%r)"
+                         % (args.imag_floor, args.box_radius))
+        if not math.isfinite(2 * args.box_radius):
+            # points are drawn uniformly from [-box_radius, box_radius]
+            parser.error("--box-radius (%r) is too large" % args.box_radius)
     try:
         return args.func(args)
     except FileFormatError as exc:

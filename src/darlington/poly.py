@@ -7,14 +7,18 @@ matrix numerators and the scalar denominators used elsewhere.
 
 Terms are kept sparse: a coefficient is dropped only when it is exactly
 zero after arithmetic.  Tolerance-based purging is a separate, explicit
-step (``clean``).  Instances are treated as immutable; the coefficient
-arrays are copied on construction and flagged read-only.
+step (``clean``).  Instances are immutable: the coefficient arrays are
+copied on construction and flagged read-only, and ``terms`` is a read-only
+mapping.  That is what makes the evaluation plan safe to cache: it is built
+on the first ``evaluate_many`` call and kept for the life of the instance.
 
 The canonical term order everywhere (iteration, leading coefficient,
 serialization) is graded lexicographic, highest first.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,7 +34,7 @@ def _grlex_key(exps):
 
 
 class MatrixPoly:
-    __slots__ = ("d", "m", "terms")
+    __slots__ = ("d", "m", "terms", "_plan")
 
     def __init__(self, d, m, terms):
         if d < 0 or m < 1:
@@ -61,7 +65,8 @@ class MatrixPoly:
             clean_terms[exps] = arr
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "terms", clean_terms)
+        object.__setattr__(self, "terms", MappingProxyType(clean_terms))
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
@@ -206,16 +211,50 @@ class MatrixPoly:
             out = out + a * mono
         return out
 
+    def _evaluation_plan(self):
+        """Coefficient stack and per-variable power table, built once.
+
+        Returns ``(coeffs, powers)``: ``coeffs`` is the (T, m, m) stack of
+        coefficients in graded-lex order, highest first, and ``powers[k]`` is
+        ``(ks, inv)``: the distinct exponents of variable k as a complex
+        column (``Z ** e`` computes in complex too) and, per term, the index
+        of its exponent in ``ks``.
+        """
+        if self._plan is None:
+            ordered = self.ordered_terms()
+            exps = np.array([e for e, _ in ordered], dtype=np.int64).reshape(len(ordered), self.d)
+            coeffs = np.array([a for _, a in ordered], dtype=np.complex128)
+            coeffs = coeffs.reshape(len(ordered), self.m, self.m)
+            powers = []
+            for k in range(self.d):
+                ks, inv = np.unique(exps[:, k], return_inverse=True)
+                powers.append((ks.astype(np.complex128)[:, None], inv))
+            object.__setattr__(self, "_plan", (coeffs, tuple(powers)))
+        return self._plan
+
     def evaluate_many(self, Z):
-        """Vectorized evaluation.  Z: (n, d) array -> (n, m, m) array."""
+        """Vectorized evaluation.  Z: (n, d) array -> (n, m, m) array.
+
+        Bit-identical to adding ``coeff * prod(z ** e)`` term by term in
+        graded-lex order.  Each distinct power is computed once per call, but
+        every monomial is still a ``prod`` over a contiguous last axis of d
+        factors, and every term is still multiplied and added on its own with
+        the same broadcast shapes: numpy's vectorized complex multiply rounds
+        differently from the scalar loop such a ``prod`` runs, and which of
+        the two a product takes depends on the operands' shapes.
+        """
         Z = np.asarray(Z, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.d:
             raise DimensionMismatch("expected point array of shape (n, %d)" % self.d)
+        coeffs, powers = self._evaluation_plan()
         n = Z.shape[0]
+        factors = np.empty((len(coeffs), n, self.d), dtype=np.complex128)
+        for k, (ks, inv) in enumerate(powers):
+            factors[:, :, k] = (Z[None, :, k] ** ks)[inv]
+        mono = factors.prod(axis=2)
         out = np.zeros((n, self.m, self.m), dtype=np.complex128)
-        for e, a in self.ordered_terms():
-            mono = np.prod(Z ** np.array(e), axis=1) if self.d else np.ones(n, dtype=np.complex128)
-            out += mono[:, None, None] * a[None, :, :]
+        for j, a in enumerate(coeffs):
+            out += mono[j, :, None, None] * a[None, :, :]
         return out
 
     # ------------------------------------------------------------------

@@ -140,9 +140,31 @@ def test_check_seed_flag_and_env(neg_inv, capsys, monkeypatch):
     monkeypatch.setenv("DARLINGTON_SEED", "99")
     code, doc = run(capsys, ["check", neg_inv, "--class", "nevanlinna"] + FAST)
     assert doc["seed"] == 99
-    monkeypatch.setenv("DARLINGTON_SEED", "not-a-number")
-    code, doc = run(capsys, ["check", neg_inv, "--class", "nevanlinna"] + FAST)
-    assert code == 2
+    for bad in ("not-a-number", "-3"):
+        monkeypatch.setenv("DARLINGTON_SEED", bad)
+        code, doc = run(capsys, ["check", neg_inv, "--class", "nevanlinna"] + FAST)
+        assert code == 2 and doc is None
+
+
+@pytest.mark.parametrize("bad", [
+    ["--seed", "-1"],
+    ["--samples", "0"],
+    ["--samples", "-1"],
+    ["--box-radius", "0"],
+    ["--box-radius", "inf"],
+    ["--box-radius", "1e308"],
+    ["--imag-floor", "0"],
+    ["--imag-floor", "-1"],
+    ["--imag-floor", "10", "--box-radius", "10"],
+    ["--psd-slack", "nan"],
+    ["--reality-slack", "-1"],
+    ["--den-floor", "inf"],
+])
+def test_bad_sampling_argument_exits_2(neg_inv, capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", neg_inv, "--class", "nevanlinna"] + bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_check_seed_zero_draws_entropy(neg_inv, capsys):
@@ -257,6 +279,12 @@ def test_eval_wrong_arity(neg_inv, capsys):
     assert code == 2
     code, _ = run(capsys, ["eval", neg_inv, "--at", "fish"])
     assert code == 2
+
+
+@pytest.mark.parametrize("at", ["--at=inf", "--at=nanj", "--at=1e400"])
+def test_eval_non_finite_coordinate(neg_inv, capsys, at):
+    code, doc = run(capsys, ["eval", neg_inv, at])
+    assert code == 2 and doc is None
 
 
 # ----------------------------------------------------------------------

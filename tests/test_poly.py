@@ -138,6 +138,51 @@ def test_evaluate_matches_naive():
         np.testing.assert_allclose(p.evaluate(z), naive_eval(p, z), rtol=1e-12, atol=1e-12)
 
 
+def term_loop_evaluate_many(p, Z):
+    """The per-call term loop that evaluate_many replaced, kept as its bitwise reference."""
+    Z = np.asarray(Z, dtype=np.complex128)
+    n = Z.shape[0]
+    out = np.zeros((n, p.m, p.m), dtype=np.complex128)
+    for e, a in p.ordered_terms():
+        mono = np.prod(Z ** np.array(e), axis=1) if p.d else np.ones(n, dtype=np.complex128)
+        out += mono[:, None, None] * a[None, :, :]
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_evaluate_many_is_bit_identical_to_term_loop(d, m):
+    rng = np.random.default_rng([d, m])
+    polys = [MatrixPoly.zero(d, m)]
+    for max_deg in (1, 2, 5):
+        # at most max_deg + 1 distinct exponents per variable, so they repeat across terms
+        polys += [rand_poly(rng, d, m, nterms=int(rng.integers(1, 16)), max_deg=max_deg)
+                  for _ in range(3)]
+    for p in polys:
+        for n in (1, 2, 7, 60):   # n = 1 takes numpy's single-element loops
+            Z = rng.uniform(-3, 3, (n, d)) + 1j * 10.0 ** rng.uniform(-12, 0, (n, d))
+            Z[rng.random((n, d)) < 0.2] = 0.0
+            Z[rng.random((n, d)) < 0.2] = rng.uniform(-3, 3)   # on the real axis
+            for _ in range(2):   # the second call runs on the cached plan
+                got = p.evaluate_many(Z)
+                assert np.array_equal(got.view(np.uint64),
+                                      term_loop_evaluate_many(p, Z).view(np.uint64))
+
+
+def test_evaluation_plan_is_built_once(monkeypatch):
+    calls = []
+    ordered_terms = MatrixPoly.ordered_terms
+    monkeypatch.setattr(MatrixPoly, "ordered_terms",
+                        lambda self: calls.append(self) or ordered_terms(self))
+    rng = np.random.default_rng(9)
+    p, q = rand_poly(rng, 2, 2), rand_poly(rng, 2, 2)
+    Z = rng.standard_normal((4, 2)) + 1j
+    for _ in range(3):
+        p.evaluate_many(Z)
+        q.evaluate_many(Z[:2])
+    assert calls == [p, q]
+
+
 def test_evaluate_many_matches_single():
     rng = np.random.default_rng(3)
     p = rand_poly(rng, 2, 2)
@@ -239,6 +284,13 @@ def test_immutable():
         p.d = 2
     with pytest.raises(ValueError):
         p.terms[(0,)][0, 0] = 99.0  # stored coefficients are read-only
+    with pytest.raises(TypeError):
+        p.terms[(1,)] = np.eye(1)  # so is the term map, which the cached plan relies on
+    with pytest.raises(TypeError):
+        del p.terms[(0,)]
+    assert p.terms[(0,)][0, 0] == 1.0
+    assert [e for e, _ in p.terms.items()] == [(0,)]
+    assert p.terms.keys() == MatrixPoly.from_scalar_terms(1, {(0,): 2.0}).terms.keys()
 
 
 def test_format_readable():
