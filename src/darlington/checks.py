@@ -11,7 +11,7 @@ fail to find one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -80,6 +80,12 @@ class Tolerances:
             "reality_slack": self.reality_slack,
             "den_floor": self.den_floor,
         }
+
+
+def _setup(config, tolerances):
+    """Defaults for omitted arguments, and the generator seeded from the config."""
+    cfg = config or SampleConfig()
+    return cfg, tolerances or Tolerances(), np.random.default_rng(cfg.seed)
 
 
 def _json_float(x):
@@ -167,23 +173,34 @@ def _herm_parts(vals):
     return (vals + adj) / 2.0, (vals - adj) / 2j
 
 
+POLE_NOTE = "every sample hit the pole floor"
+OVERFLOW_NOTE = "every sample hit the pole floor or gave a non-finite margin"
+
+
 def _psd_margins(f, pts, part, tols):
+    """Margins at the points that clear the pole floor; None if there are none.
+
+    A point whose margin is not finite (the value overflowed) is dropped
+    too: comparisons with NaN are false, so it could never fail.
+    """
     vals, ok = f.eval_many(pts, tols.den_floor)
-    used = int(ok.sum())
-    if used == 0:
-        return None, None, used
+    if not ok.any():
+        return None, None
     re_h, im_h = _herm_parts(vals[ok])
     sel = im_h if part == "imag" else re_h
-    eigs = linalg.hermitian_min_eig_many(sel)
-    return eigs + tols.psd_slack, pts[ok], used
+    margins = linalg.hermitian_min_eig_many(sel) + tols.psd_slack
+    fin = np.isfinite(margins)
+    return margins[fin], pts[ok][fin]
 
 
 def _psd_report(name, part, f, pts, cfg, tols):
-    margins, kept, used = _psd_margins(f, pts, part, tols)
+    margins, kept = _psd_margins(f, pts, part, tols)
     details = {"points_drawn": int(len(pts)), "tolerances": tols.to_dict()}
-    if used == 0:
+    if margins is None or not len(margins):
+        note = POLE_NOTE if margins is None else OVERFLOW_NOTE
         return CheckReport(name, "inconclusive", 0, float("nan"), None, cfg.seed,
-                           dict(details, note="every sample hit the pole floor"))
+                           dict(details, note=note))
+    used = len(margins)
     worst = float(margins.min())
     witness = None
     if worst < 0.0:
@@ -199,49 +216,48 @@ def _psd_report(name, part, f, pts, cfg, tols):
 
 def check_nevanlinna(f, config=None, tolerances=None):
     """Nonnegative imaginary part on the upper poly-half-plane (sampled)."""
-    cfg = config or SampleConfig()
-    tols = tolerances or Tolerances()
-    rng = np.random.default_rng(cfg.seed)
+    cfg, tols, rng = _setup(config, tolerances)
     pts = upper_points(cfg, rng, f.d)
     return _psd_report("nevanlinna", "imag", f, pts, cfg, tols)
 
 
 def check_positive_real(f, config=None, tolerances=None):
     """Nonnegative real part on the right poly-half-plane (sampled)."""
-    cfg = config or SampleConfig()
-    tols = tolerances or Tolerances()
-    rng = np.random.default_rng(cfg.seed)
+    cfg, tols, rng = _setup(config, tolerances)
     pts = right_points(cfg, rng, f.d)
     return _psd_report("positive-real", "real", f, pts, cfg, tols)
 
 
 def check_cayley_inner(f, config=None, tolerances=None):
     """Upper-half-plane positivity plus vanishing imaginary part on real points."""
-    cfg = config or SampleConfig()
-    tols = tolerances or Tolerances()
-    rng = np.random.default_rng(cfg.seed)
+    cfg, tols, rng = _setup(config, tolerances)
     interior = _psd_report("nevanlinna", "imag", f, upper_points(cfg, rng, f.d), cfg, tols)
 
     pts = real_points(cfg, rng, f.d)
     vals, ok = f.eval_many(pts, tols.den_floor)
-    used = int(ok.sum())
     details = {
         "interior": interior.to_dict(),
         "boundary_points_drawn": int(len(pts)),
         "tolerances": tols.to_dict(),
     }
-    if used == 0 and interior.verdict == "inconclusive":
-        return CheckReport("cayley-inner", "inconclusive", 0, float("nan"), None,
-                           cfg.seed, dict(details, note="every sample hit the pole floor"))
-    if used:
-        kept = vals[ok]
+    # non-finite margins are dropped as in _psd_margins; non-finite values
+    # go first, because the svd raises on NaN
+    keep = ok & np.isfinite(vals).all(axis=(1, 2))
+    real_margins = np.empty(0)
+    if keep.any():
+        kept, real_pts = vals[keep], pts[keep]
         _, im_h = _herm_parts(kept)
         norms = np.linalg.svd(kept, compute_uv=False)[:, 0]
         im_norms = np.abs(np.linalg.eigvalsh(im_h)).max(axis=1)
         real_margins = tols.reality_slack * (1.0 + norms) - im_norms
-        worst_real = float(real_margins.min())
-    else:
-        worst_real = float("inf")
+        fin = np.isfinite(real_margins)
+        real_margins, im_norms, real_pts = real_margins[fin], im_norms[fin], real_pts[fin]
+    used = len(real_margins)
+    if used == 0 and interior.verdict == "inconclusive":
+        note = interior.details["note"] if not ok.any() else OVERFLOW_NOTE
+        return CheckReport("cayley-inner", "inconclusive", 0, float("nan"), None,
+                           cfg.seed, dict(details, note=note))
+    worst_real = float(real_margins.min()) if used else float("inf")
 
     candidates = []
     if interior.verdict != "inconclusive":
@@ -254,7 +270,7 @@ def check_cayley_inner(f, config=None, tolerances=None):
         if used and worst_real <= (interior.worst_margin if interior.verdict != "inconclusive" else np.inf):
             k = int(np.argmin(real_margins))
             witness = {
-                "point": _json_point(pts[ok][k]),
+                "point": _json_point(real_pts[k]),
                 "imag_part_norm": _json_float(im_norms[k]),
                 "part": "boundary-reality",
             }
@@ -317,9 +333,7 @@ def check_stable(p, config=None, tolerances=None):
     never "pass".
     """
     p = _scalar_poly(p)
-    cfg = config or SampleConfig()
-    tols = tolerances or Tolerances()
-    rng = np.random.default_rng(cfg.seed)
+    cfg, tols, rng = _setup(config, tolerances)
     scale = p.max_coeff_magnitude()
     details = {"tolerances": tols.to_dict(), "threshold_rtol": ROOT_ABS_RTOL}
     if p.is_zero():
@@ -347,15 +361,13 @@ def check_stable(p, config=None, tolerances=None):
 def check_real_stable(p, config=None, tolerances=None):
     """Real coefficients plus no zero in the open upper poly-half-plane."""
     p = _scalar_poly(p)
-    cfg = config or SampleConfig()
-    tols = tolerances or Tolerances()
+    cfg, tols, rng = _setup(config, tolerances)
     scale = p.max_coeff_magnitude()
     imag_excess = max(
         (float(np.abs(a.imag).max()) for a in p.terms.values()), default=0.0
     )
     if imag_excess > COEFF_REAL_RTOL * max(scale, 1e-300):
         # witness: a real point where the imaginary part is re-evaluably large
-        rng = np.random.default_rng(cfg.seed)
         pts = real_points(cfg, rng, p.d)
         imvals = np.abs(p.evaluate_many(pts)[:, 0, 0].imag)
         k = int(np.argmax(imvals))
@@ -366,7 +378,7 @@ def check_real_stable(p, config=None, tolerances=None):
         }
         return CheckReport("real-stable", "fail", len(pts), float(-imvals[k]), witness,
                            cfg.seed, {"imag_coeff_max": _json_float(imag_excess)})
-    inner = check_stable(p, cfg, tolerances)
+    inner = check_stable(p, cfg, tols)
     return CheckReport("real-stable", inner.verdict, inner.samples_used,
                        inner.worst_margin, inner.witness, inner.seed, inner.details)
 
@@ -448,12 +460,11 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     """Probe the equivalence between combined-zero freeness, pencil
     real-stability and member real-stability for a real pair (p, q)."""
     p, q = _real_scalar_pair(p, q)
-    cfg = config or SampleConfig()
-    combined = check_stable(p + q.scaled(1j), cfg, tolerances)
+    cfg, tols, rng = _setup(config, tolerances)
+    combined = check_stable(p + q.scaled(1j), cfg, tols)
     combined.check = "combined-stable"
-    pencil = pencil_probe(p, q, cfg, tolerances)
+    pencil = pencil_probe(p, q, cfg, tols)
 
-    rng = np.random.default_rng(cfg.seed)
     thetas = rng.uniform(0.0, np.pi, members)
     member_cfg_count = max(40, cfg.count // 4)
     scale = max(p.max_coeff_magnitude(), q.max_coeff_magnitude(), 1e-300)
@@ -466,14 +477,8 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
             continue
         checked += 1
         sub_seed = int(rng.integers(2**31 - 1))
-        sub_cfg = SampleConfig(
-            seed=sub_seed,
-            count=member_cfg_count,
-            box_radius=cfg.box_radius,
-            imag_floor=cfg.imag_floor,
-            include_edge_points=cfg.include_edge_points,
-        )
-        rep = check_real_stable(member, sub_cfg, tolerances)
+        sub_cfg = replace(cfg, seed=sub_seed, count=member_cfg_count)
+        rep = check_real_stable(member, sub_cfg, tols)
         if rep.verdict == "fail":
             falsified += 1
             if member_witness is None:
@@ -492,9 +497,7 @@ def lemma12_probe(p, q, config=None, tolerances=None):
         raise ValueError("p and q must share the variable count")
     if q.is_zero():
         raise ValueError("q must be nonzero to form the ratio p/q")
-    cfg = config or SampleConfig()
-    tols = tolerances or Tolerances()
-    rng = np.random.default_rng(cfg.seed)
+    cfg, tols, rng = _setup(config, tolerances)
     pts = upper_points(cfg, rng, p.d)
     f = RationalMatrixFunction(p, q)
     vals, ok = f.eval_many(pts, tols.den_floor)
@@ -502,7 +505,7 @@ def lemma12_probe(p, q, config=None, tolerances=None):
     details = {"points_drawn": int(len(pts)), "reality_slack": tols.reality_slack}
     if used == 0:
         return CheckReport("ratio-sign-definite", "inconclusive", 0, float("nan"),
-                           None, cfg.seed, dict(details, note="every sample hit the pole floor"))
+                           None, cfg.seed, dict(details, note=POLE_NOTE))
     im = vals[ok][:, 0, 0].imag
     lo, hi = float(im.min()), float(im.max())
     mixed = min(-lo, hi)

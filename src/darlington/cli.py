@@ -85,24 +85,6 @@ def _resolve_seed(arg_seed):
     return int(seed)
 
 
-def _config(args, seed):
-    return SampleConfig(
-        seed=seed,
-        count=args.samples,
-        box_radius=args.box_radius,
-        imag_floor=args.imag_floor,
-        include_edge_points=not args.no_edge_points,
-    )
-
-
-def _tolerances(args):
-    return Tolerances(
-        psd_slack=args.psd_slack,
-        reality_slack=args.reality_slack,
-        den_floor=args.den_floor,
-    )
-
-
 def _emit(args, payload):
     text = dumps_deterministic(payload)
     if args.output and args.output != "-":
@@ -116,33 +98,14 @@ def _say(msg):
     print(msg, file=sys.stderr)
 
 
-def _report(command, inputs, seed, tolerances, verdicts, witnesses):
-    return {
-        "command": command,
-        "inputs": inputs,
-        "seed": seed,
-        "tolerances": tolerances,
-        "verdicts": verdicts,
-        "witnesses": witnesses,
-    }
-
-
-def _describe_inputs(args, f, frame):
-    out = {"function": args.function, "d": f.d, "m": f.m, "frame": frame}
-    if hasattr(args, "samples"):
-        out.update(
-            samples=args.samples,
-            box_radius=args.box_radius,
-            imag_floor=args.imag_floor,
-            edge_points=not args.no_edge_points,
-        )
-    return out
+def _margin(rep):
+    return rep.to_dict()["worst_margin"]
 
 
 def _evidence(rep):
     return {
         "verdict": rep.verdict,
-        "worst_margin": rep.to_dict()["worst_margin"],
+        "worst_margin": _margin(rep),
         "samples_used": rep.samples_used,
         "witness": rep.witness,
     }
@@ -150,37 +113,26 @@ def _evidence(rep):
 
 # ----------------------------------------------------------------------
 # subcommands
+#
+# A body adds what it reads from its own arguments to ``inputs``.  A sampling
+# body returns (verdicts, witnesses, summary) and _dispatch builds the report;
+# the others return (payload, summary).
 
 
-def _cmd_lift(args):
-    f, frame = load_function(args.function)
-    if frame != "nevanlinna":
-        _say("lift: input frame is %r; lift needs the nevanlinna frame" % frame)
-        return EXIT_PRECONDITION
+def _lift(args, f, inputs):
     lifted = lift(f).lifted
-    _emit(args, function_to_dict(lifted, "nevanlinna"))
-    _say("lift: %d -> %d variables, m=%d" % (f.d, lifted.d, lifted.m))
-    return EXIT_OK
+    return (function_to_dict(lifted, "nevanlinna"),
+            "lift: %d -> %d variables, m=%d" % (f.d, lifted.d, lifted.m))
 
 
-def _cmd_verify(args):
-    f, frame = load_function(args.function)
-    if frame != "nevanlinna":
-        _say("verify: input frame is %r; verify needs the nevanlinna frame" % frame)
-        return EXIT_PRECONDITION
-    seed = _resolve_seed(args.seed)
-    cfg, tols = _config(args, seed), _tolerances(args)
-
+def _verify(args, f, inputs, cfg, tols):
     result = lift(f)
     back = restrict_at_i(result.lifted)
-    identity_ok = identity_equal(back, result.input)
-    structured = result.pieces.is_structured()
     rep_in = check_nevanlinna(f, cfg, tols)
     rep_lift = check_cayley_inner(result.lifted, cfg, tols)
-
     verdicts = {
-        "identity-at-i": "pass" if identity_ok else "fail",
-        "pieces-structured": "pass" if structured else "fail",
+        "identity-at-i": "pass" if identity_equal(back, result.input) else "fail",
+        "pieces-structured": "pass" if result.pieces.is_structured() else "fail",
         "input-nevanlinna": rep_in.verdict,
         "lift-cayley-inner": rep_lift.verdict,
     }
@@ -188,18 +140,8 @@ def _cmd_verify(args):
         "input-nevanlinna": _evidence(rep_in),
         "lift-cayley-inner": _evidence(rep_lift),
     }
-    payload = _report("verify", _describe_inputs(args, f, frame), seed,
-                      tols.to_dict(), verdicts, witnesses)
-    _emit(args, payload)
-    _say("verify: " + ", ".join("%s=%s" % kv for kv in sorted(verdicts.items())))
-
-    if "fail" in (rep_in.verdict, rep_lift.verdict):
-        return EXIT_CLASS
-    if not identity_ok or not structured:
-        return EXIT_IDENTITY
-    if "inconclusive" in (rep_in.verdict, rep_lift.verdict):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return verdicts, witnesses, "verify: " + ", ".join(
+        "%s=%s" % kv for kv in sorted(verdicts.items()))
 
 
 _MEMBERSHIP = {
@@ -209,53 +151,25 @@ _MEMBERSHIP = {
 }
 
 
-def _cmd_check(args):
-    f, frame = load_function(args.function)
-    seed = _resolve_seed(args.seed)
-    cfg, tols = _config(args, seed), _tolerances(args)
+def _check(args, f, inputs, cfg, tols):
     rep = _MEMBERSHIP[args.membership](f, cfg, tols)
-    inputs = _describe_inputs(args, f, frame)
     inputs["class"] = args.membership
-    payload = _report("check", inputs, seed, tols.to_dict(),
-                      {args.membership: rep.verdict}, {args.membership: _evidence(rep)})
-    _emit(args, payload)
-    _say("check %s: %s (worst margin %s)" % (args.membership, rep.verdict,
-                                             rep.to_dict()["worst_margin"]))
-    if rep.verdict == "fail":
-        return EXIT_FAIL
-    if rep.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return ({args.membership: rep.verdict}, {args.membership: _evidence(rep)},
+            "check %s: %s (worst margin %s)" % (args.membership, rep.verdict, _margin(rep)))
 
 
-def _cmd_stable(args):
-    f, frame = load_function(args.function)
+def _stable(args, f, inputs, cfg, tols):
     if f.m != 1:
         raise FileFormatError("stable needs a scalar polynomial (m=1), got m=%d" % f.m)
     if f.den.total_degree() != 0:
         raise FileFormatError("stable needs a polynomial: den_terms must be a nonzero constant")
-    p = f.num
-    seed = _resolve_seed(args.seed)
-    cfg, tols = _config(args, seed), _tolerances(args)
-    rep = (check_real_stable if args.real else check_stable)(p, cfg, tols)
-    inputs = _describe_inputs(args, f, frame)
+    rep = (check_real_stable if args.real else check_stable)(f.num, cfg, tols)
     inputs["real"] = bool(args.real)
-    payload = _report("stable", inputs, seed, tols.to_dict(),
-                      {rep.check: rep.verdict}, {rep.check: _evidence(rep)})
-    _emit(args, payload)
-    _say("stable: %s (worst margin %s)" % (rep.verdict, rep.to_dict()["worst_margin"]))
-    if rep.verdict == "fail":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return ({rep.check: rep.verdict}, {rep.check: _evidence(rep)},
+            "stable: %s (worst margin %s)" % (rep.verdict, _margin(rep)))
 
 
-def _cmd_realize1d(args):
-    f, frame = load_function(args.function)
-    if frame != "positive-real":
-        _say("realize1d: input frame is %r; the realization needs positive-real" % frame)
-        return EXIT_PRECONDITION
-    seed = _resolve_seed(args.seed)
-    cfg, tols = _config(args, seed), _tolerances(args)
+def _realize1d(args, f, inputs, cfg, tols):
     real = realize_1d(f)
     rep_block = check_positive_real(real.block(), cfg, tols)
 
@@ -276,19 +190,11 @@ def _cmd_realize1d(args):
         },
         "block-positive-real": _evidence(rep_block),
     }
-    inputs = _describe_inputs(args, f, frame)
-    payload = _report("realize1d", inputs, seed, tols.to_dict(), verdicts, witnesses)
-    _emit(args, payload)
-    _say("realize1d: variant=%s block-positive-real=%s" % (real.variant, rep_block.verdict))
-    if rep_block.verdict == "fail":
-        return EXIT_CLASS
-    if rep_block.verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return verdicts, witnesses, "realize1d: variant=%s block-positive-real=%s" % (
+        real.variant, rep_block.verdict)
 
 
-def _cmd_eval(args):
-    f, frame = load_function(args.function)
+def _eval(args, f, inputs):
     try:
         point = [complex(tok) for tok in args.at.split(",")]
     except ValueError:
@@ -298,19 +204,85 @@ def _cmd_eval(args):
                               % (len(point), f.d))
     if not all(cmath.isfinite(c) for c in point):
         raise FileFormatError("--at coordinates must be finite, got %s" % args.at)
-    value = f.eval(np.array(point), args.den_floor)
-    payload = _report(
-        "eval",
-        dict(_describe_inputs(args, f, frame),
-             point=[[float(c.real), float(c.imag)] for c in point]),
-        0,
-        {"den_floor": args.den_floor},
-        {"eval": "ok"},
-        {"value": [[[float(v.real), float(v.imag)] for v in row] for row in value]},
-    )
-    _emit(args, payload)
-    _say("eval: ok")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = f.eval(np.array(point), args.den_floor)
+    if not np.all(np.isfinite(value)):
+        raise FileFormatError("the value at %s is not finite" % args.at)
+    inputs["point"] = [[float(c.real), float(c.imag)] for c in point]
+    payload = {
+        "command": "eval",
+        "inputs": inputs,
+        "seed": 0,
+        "tolerances": {"den_floor": args.den_floor},
+        "verdicts": {"eval": "ok"},
+        "witnesses": {"value": [[[float(v.real), float(v.imag)] for v in row] for row in value]},
+    }
+    return payload, "eval: ok"
+
+
+# name: (help, exit code of a failed sampled check, or None for a command that
+# does not sample, (frame the input must be in, what to say otherwise) or
+# None, body)
+COMMANDS = {
+    "lift": ("lift a nevanlinna-frame function to d+1 variables", None,
+             ("nevanlinna", "lift needs the nevanlinna frame"), _lift),
+    "verify": ("lift, restrict back at i, and check both classes", EXIT_CLASS,
+               ("nevanlinna", "verify needs the nevanlinna frame"), _verify),
+    "check": ("sampled class membership check", EXIT_FAIL, None, _check),
+    "stable": ("hunt for upper-half-plane zeros of a polynomial", EXIT_FAIL, None, _stable),
+    "realize1d": ("lossless 2x2 realization of a scalar one-variable positive-real function",
+                  EXIT_CLASS, ("positive-real", "the realization needs positive-real"),
+                  _realize1d),
+    "eval": ("evaluate at a point", None, None, _eval),
+}
+
+# verdicts of exact identities; every other verdict is a sampled check's
+EXACT = ("identity-at-i", "pieces-structured", "reconstruction")
+
+
+def _exit_code(verdicts, fail_code):
+    sampled = [v for k, v in verdicts.items() if k not in EXACT]
+    if "fail" in sampled:
+        return fail_code
+    if "fail" in verdicts.values():
+        return EXIT_IDENTITY
+    if "inconclusive" in sampled:
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
+
+
+def _dispatch(args):
+    _, fail_code, needs, body = COMMANDS[args.command]
+    f, frame = load_function(args.function)
+    if needs is not None and frame != needs[0]:
+        _say("%s: input frame is %r; %s" % (args.command, frame, needs[1]))
+        return EXIT_PRECONDITION
+    inputs = {"function": args.function, "d": f.d, "m": f.m, "frame": frame}
+    if fail_code is None:
+        payload, summary = body(args, f, inputs)
+        code = EXIT_OK
+    else:
+        seed = _resolve_seed(args.seed)
+        edge = not args.no_edge_points
+        cfg = SampleConfig(seed=seed, count=args.samples, box_radius=args.box_radius,
+                           imag_floor=args.imag_floor, include_edge_points=edge)
+        tols = Tolerances(psd_slack=args.psd_slack, reality_slack=args.reality_slack,
+                          den_floor=args.den_floor)
+        inputs.update(samples=args.samples, box_radius=args.box_radius,
+                      imag_floor=args.imag_floor, edge_points=edge)
+        verdicts, witnesses, summary = body(args, f, inputs, cfg, tols)
+        payload = {
+            "command": args.command,
+            "inputs": inputs,
+            "seed": seed,
+            "tolerances": tols.to_dict(),
+            "verdicts": verdicts,
+            "witnesses": witnesses,
+        }
+        code = _exit_code(verdicts, fail_code)
+    _emit(args, payload)
+    _say(summary)
+    return code
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +314,7 @@ def _finite_float(positive):
     return parse
 
 
-def _add_common(sub, sampling=True):
+def _add_common(sub, sampling):
     sub.add_argument("function", help="function JSON path, or - for stdin")
     sub.add_argument("-o", "--output", default=None,
                      help="write the JSON result here instead of stdout")
@@ -369,37 +341,15 @@ def build_parser():
                     "positive-real functions as lossless 2x2 blocks.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("lift", help="lift a nevanlinna-frame function to d+1 variables")
-    _add_common(s, sampling=False)
-    s.set_defaults(func=_cmd_lift)
-
-    s = subs.add_parser("verify", help="lift, restrict back at i, and check both classes")
-    _add_common(s)
-    s.set_defaults(func=_cmd_verify)
-
-    s = subs.add_parser("check", help="sampled class membership check")
-    _add_common(s)
-    s.add_argument("--class", dest="membership", required=True,
-                   choices=sorted(_MEMBERSHIP), help="which membership to test")
-    s.set_defaults(func=_cmd_check)
-
-    s = subs.add_parser("stable", help="hunt for upper-half-plane zeros of a polynomial")
-    _add_common(s)
-    s.add_argument("--real", action="store_true",
-                   help="also require real coefficients (real-stability)")
-    s.set_defaults(func=_cmd_stable)
-
-    s = subs.add_parser("realize1d", help="lossless 2x2 realization of a scalar "
-                                          "one-variable positive-real function")
-    _add_common(s)
-    s.set_defaults(func=_cmd_realize1d)
-
-    s = subs.add_parser("eval", help="evaluate at a point")
-    _add_common(s, sampling=False)
-    s.add_argument("--at", required=True, help="comma-separated coordinates, e.g. 1+2j,0.5-0.1j")
-    s.set_defaults(func=_cmd_eval)
-
+    for name, (help_text, fail_code, _, _) in COMMANDS.items():
+        _add_common(subs.add_parser(name, help=help_text), sampling=fail_code is not None)
+    subs.choices["check"].add_argument("--class", dest="membership", required=True,
+                                       choices=sorted(_MEMBERSHIP),
+                                       help="which membership to test")
+    subs.choices["stable"].add_argument("--real", action="store_true",
+                                        help="also require real coefficients (real-stability)")
+    subs.choices["eval"].add_argument("--at", required=True,
+                                      help="comma-separated coordinates, e.g. 1+2j,0.5-0.1j")
     return parser
 
 
@@ -414,7 +364,7 @@ def main(argv=None):
             # points are drawn uniformly from [-box_radius, box_radius]
             parser.error("--box-radius (%r) is too large" % args.box_radius)
     try:
-        return args.func(args)
+        return _dispatch(args)
     except FileFormatError as exc:
         _say("error: %s" % exc)
         return EXIT_FORMAT

@@ -112,6 +112,7 @@ def function_from_dict(obj):
         num = MatrixPoly(d, m, num_terms)
         den = MatrixPoly(d, 1, den_terms)
         f = RationalMatrixFunction(num, den)
+        f.normalize()  # lift and realize1d normalize; reject an overflow here
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
     return f, frame

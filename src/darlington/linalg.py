@@ -1,88 +1,22 @@
-"""Small dense linear-algebra helpers used by the class checkers.
+"""The batched Hermitian eigen-solve used by the class checkers.
 
-Thin wrappers over numpy's LAPACK-backed routines with the error behavior
-the rest of the package relies on: explicit Hermitian-ness validation, an
-explicit Singular error with a relative pivot floor, and batched variants
-for the samplers.  Matrices here are small (m is single digits).
+Matrices here are small (m is single digits); the samplers stack one per
+sample point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "NotHermitian",
-    "Singular",
-    "hermitian_min_eig",
-    "hermitian_min_eig_many",
-    "solve",
-    "max_singular_value",
-]
-
-HERMITIAN_RTOL = 1e-10
-PIVOT_RTOL = 1e-14
-
-
-class NotHermitian(ValueError):
-    """Input fails the Hermitian residual test."""
-
-
-class Singular(ArithmeticError):
-    """Coefficient matrix is singular to working precision."""
-
-
-def _as_square(a):
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
-    return a
-
-
-def hermitian_min_eig(h):
-    """Smallest eigenvalue of a Hermitian matrix, as a float.
-
-    Validates ||H - H*||_F <= 1e-10 * ||H||_F first, then symmetrizes so
-    roundoff in the input cannot leak into complex eigenvalues.
-    """
-    h = _as_square(h)
-    scale = np.linalg.norm(h)
-    if np.linalg.norm(h - h.conj().T) > HERMITIAN_RTOL * max(scale, 1e-300):
-        raise NotHermitian("matrix is not Hermitian to within %g relative" % HERMITIAN_RTOL)
-    hs = (h + h.conj().T) / 2
-    return float(np.linalg.eigvalsh(hs)[0])
+__all__ = ["hermitian_min_eig_many"]
 
 
 def hermitian_min_eig_many(hs):
     """Batched smallest eigenvalues: (n, m, m) stack -> (n,) floats.
 
-    The stack is symmetrized without the residual check; callers pass
+    The stack is symmetrized without a residual check; callers pass
     matrices that are Hermitian by construction.
     """
     hs = np.asarray(hs, dtype=np.complex128)
     sym = (hs + np.conj(np.swapaxes(hs, -1, -2))) / 2
     return np.linalg.eigvalsh(sym)[..., 0].astype(float)
-
-
-def solve(a, b):
-    """Solve A X = B with an explicit singularity floor.
-
-    Raises Singular when the smallest singular value of A is at or below
-    1e-14 * ||A||_F, instead of returning garbage.
-    """
-    a = _as_square(a)
-    b = np.asarray(b, dtype=np.complex128)
-    scale = np.linalg.norm(a)
-    svals = np.linalg.svd(a, compute_uv=False)
-    if scale == 0.0 or svals[-1] <= PIVOT_RTOL * scale:
-        raise Singular("pivot below %g * ||A||" % PIVOT_RTOL)
-    return np.linalg.solve(a, b)
-
-
-def max_singular_value(s):
-    """Largest singular value (operator 2-norm)."""
-    s = np.asarray(s, dtype=np.complex128)
-    if s.ndim != 2:
-        raise ValueError("expected a matrix, got shape %r" % (s.shape,))
-    if s.size == 0 or not s.any():
-        return 0.0
-    return float(np.linalg.svd(s, compute_uv=False)[0])

@@ -6,11 +6,11 @@ arrays.  m = 1 covers scalar polynomials; the same type carries both the
 matrix numerators and the scalar denominators used elsewhere.
 
 Terms are kept sparse: a coefficient is dropped only when it is exactly
-zero after arithmetic.  Tolerance-based purging is a separate, explicit
-step (``clean``).  Instances are immutable: the coefficient arrays are
-copied on construction and flagged read-only, and ``terms`` is a read-only
-mapping.  That is what makes the evaluation plan safe to cache: it is built
-on the first ``evaluate_many`` call and kept for the life of the instance.
+zero after arithmetic; nothing is purged by tolerance.  Instances are
+immutable: the coefficient arrays are copied on construction and flagged
+read-only, and ``terms`` is a read-only mapping.  That is what makes the
+evaluation plan safe to cache: it is built on the first ``evaluate_many``
+call and kept for the life of the instance.
 
 The canonical term order everywhere (iteration, leading coefficient,
 serialization) is graded lexicographic, highest first.
@@ -71,6 +71,11 @@ class MatrixPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
 
+    def __reduce__(self):
+        # rebuild through __init__: slot state cannot be restored past
+        # __setattr__, and the copy builds its own evaluation plan
+        return (MatrixPoly, (self.d, self.m, dict(self.terms)))
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -103,9 +108,6 @@ class MatrixPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_scalar(self):
-        return self.m == 1
-
     def ordered_terms(self):
         """Terms as (exponents, coefficient) pairs, graded-lex highest first."""
         return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex_key, reverse=True)]
@@ -126,11 +128,6 @@ class MatrixPoly:
         if self.is_zero():
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, k):
-        if self.is_zero():
-            return -1
-        return max(e[k] for e in self.terms)
 
     def entry(self, i, j):
         """Scalar polynomial made of the (i, j) entry of every coefficient."""
@@ -329,12 +326,6 @@ class MatrixPoly:
             self.d, 1, {e: complex(eta @ a @ eta.conj()) for e, a in self.terms.items()}
         )
 
-    def clean(self, tol):
-        """Drop terms whose largest entry magnitude is <= tol.  Explicit, never implicit."""
-        return MatrixPoly(
-            self.d, self.m, {e: a for e, a in self.terms.items() if np.abs(a).max() > tol}
-        )
-
     # ------------------------------------------------------------------
     # comparison / display
 
@@ -347,46 +338,7 @@ class MatrixPoly:
             return False
         return all(np.array_equal(a, other.terms[e]) for e, a in self.terms.items())
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
-
-    def equal_within(self, other, tol):
-        """Entrywise comparison with absolute tolerance tol on every coefficient."""
-        if (self.d, self.m) != (other.d, other.m):
-            return False
-        keys = set(self.terms) | set(other.terms)
-        zero = np.zeros((self.m, self.m))
-        for e in keys:
-            a = self.terms.get(e, zero)
-            b = other.terms.get(e, zero)
-            if np.abs(a - b).max() > tol:
-                return False
-        return True
-
-    def format(self, names=None):
-        """Human-readable rendering, graded-lex highest first."""
-        if self.is_zero():
-            return "0"
-        if names is None:
-            names = ["z%d" % (k + 1) for k in range(self.d)]
-        parts = []
-        for e, a in self.ordered_terms():
-            mono = "*".join(
-                n if ek == 1 else "%s^%d" % (n, ek) for n, ek in zip(names, e) if ek
-            )
-            if self.m == 1:
-                c = complex(a[0, 0])
-                cs = "%.12g%+.12gi" % (c.real, c.imag)
-                parts.append("(%s)%s" % (cs, "*" + mono if mono else ""))
-            else:
-                rows = "; ".join(
-                    ", ".join("%.12g%+.12gi" % (v.real, v.imag) for v in row) for row in a
-                )
-                parts.append("[%s]%s" % (rows, "*" + mono if mono else ""))
-        return " + ".join(parts)
 
     def __repr__(self):
         return "MatrixPoly(d=%d, m=%d, %d terms, degree %d)" % (

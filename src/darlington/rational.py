@@ -58,6 +58,9 @@ class RationalMatrixFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrixFunction is immutable")
 
+    def __reduce__(self):
+        return (RationalMatrixFunction, (self.num, self.den, self.normalized))
+
     @property
     def d(self):
         return self.num.d
@@ -66,21 +69,24 @@ class RationalMatrixFunction:
     def m(self):
         return self.num.m
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, MatrixPoly.constant(p.d, 1.0))
-
     def normalize(self):
         """Scale so the graded-lex-leading denominator coefficient is 1.
 
         This is the canonical representative used before decomposition and
-        serialization; idempotent.
+        serialization; idempotent.  Raises ValueError, naming the coefficient,
+        when the scaled coefficients overflow.
         """
-        c = complex(self.den.leading_coefficient()[1][0, 0])
+        exps, lead = self.den.leading_coefficient()
+        c = complex(lead[0, 0])
         inv = 1.0 / c
-        return RationalMatrixFunction(
-            self.num.scaled(inv), self.den.scaled(inv), normalized=True
-        )
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return RationalMatrixFunction(
+                    self.num.scaled(inv), self.den.scaled(inv), normalized=True
+                )
+        except ValueError as exc:
+            raise ValueError("dividing by the leading denominator coefficient %r at %r "
+                             "overflows: %s" % (c, exps, exc)) from exc
 
     def den_floor(self, rtol=DEN_FLOOR_RTOL):
         return rtol * self.den.max_coeff_magnitude()

@@ -87,6 +87,21 @@ def test_cayley_inner_flags_interior_violations_too():
     assert rep.witness["part"] == "interior-psd"
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("terms", [{(9,): 1e300}, {(400,): 1.0}])
+def test_overflowed_margins_never_pass(terms):
+    # values overflow at part of the sample: those points are dropped, so
+    # a NaN margin cannot turn into "pass" (z^400 also made the boundary
+    # part's svd raise on NaN)
+    f = RationalMatrixFunction(sp(1, terms), one(1))
+    for check, part in ((check_nevanlinna, "imag"), (check_positive_real, "real"),
+                        (check_cayley_inner, "imag")):
+        rep = check(f)
+        assert rep.verdict == "fail" and np.isfinite(rep.worst_margin), check.__name__
+        val = f.eval(np.array([complex(*xy) for xy in rep.witness["point"]]))[0, 0]
+        assert (val.imag if part == "imag" else val.real) < 0, check.__name__
+
+
 def test_reports_are_deterministic():
     # -z1 fails with a witness at the random point of largest height, so the
     # margin is seed-sensitive while equal seeds reproduce bit for bit

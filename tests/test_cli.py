@@ -1,6 +1,7 @@
 """End-to-end command line behavior: reports, exit codes, determinism."""
 
 import json
+import warnings
 
 import pytest
 
@@ -43,6 +44,13 @@ def run(capsys, argv):
 
 
 FAST = ["--samples", "60"]
+
+
+@pytest.fixture
+def poly(tmp_path):
+    # z1 + i as a polynomial document, nevanlinna frame
+    f = RationalMatrixFunction(sp(1, {(1,): 1.0, (0,): 1j}), one(1))
+    return write(tmp_path, "poly.json", f, "nevanlinna")
 
 
 # ----------------------------------------------------------------------
@@ -250,6 +258,35 @@ def test_realize1d_rejects_non_positive_real(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
+# report shape
+
+
+SAMPLED_INPUTS = {"function", "d", "m", "frame", "samples", "box_radius", "imag_floor",
+                  "edge_points"}
+
+
+@pytest.mark.parametrize("argv, doc, extra", [
+    (["verify"], "neg_inv", {}),
+    (["check", "--class", "nevanlinna"], "neg_inv", {"class": "nevanlinna"}),
+    (["stable"], "poly", {"real": False}),
+    (["realize1d"], "pr_simple", {}),
+])
+def test_sampling_report_inputs(argv, doc, extra, request, capsys):
+    path = request.getfixturevalue(doc)
+    _, rep = run(capsys, argv[:1] + [path] + argv[1:] + FAST + ["--no-edge-points"])
+    inputs = rep["inputs"]
+    assert set(inputs) == SAMPLED_INPUTS | set(extra)
+    assert inputs["edge_points"] is False and inputs["samples"] == 60
+    assert {k: inputs[k] for k in extra} == extra
+
+
+def test_eval_report_inputs(neg_inv, capsys):
+    _, rep = run(capsys, ["eval", neg_inv, "--at", "1j"])
+    assert set(rep["inputs"]) == {"function", "d", "m", "frame", "point"}
+    assert rep["inputs"]["point"] == [[0.0, 1.0]]
+
+
+# ----------------------------------------------------------------------
 # eval
 
 
@@ -287,6 +324,15 @@ def test_eval_non_finite_coordinate(neg_inv, capsys, at):
     assert code == 2 and doc is None
 
 
+def test_eval_non_finite_value(tmp_path, capsys):
+    f = RationalMatrixFunction(sp(1, {(1,): 1e300}), one(1))
+    path = write(tmp_path, "big.json", f, "nevanlinna")
+    code = main(["eval", path, "--at", "1e10+1j"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "1e10+1j" in captured.err
+
+
 # ----------------------------------------------------------------------
 # input handling
 
@@ -307,3 +353,14 @@ def test_stdin_roundtrip(neg_inv, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     code, doc = run(capsys, ["eval", "-", "--at", "2j"])
     assert code == 0
+
+
+def test_normalization_overflow_exits_2(tmp_path, capsys):
+    f = RationalMatrixFunction(sp(1, {(0,): 1e308}), sp(1, {(1,): 1e-308}))
+    path = write(tmp_path, "overflow.json", f, "nevanlinna")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning would raise here
+        code = main(["verify", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "leading denominator coefficient (1e-308+0j)" in captured.err

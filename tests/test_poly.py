@@ -1,5 +1,8 @@
 """Sparse matrix-coefficient polynomial arithmetic."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -92,7 +95,6 @@ def test_grlex_descending_order():
 def test_degrees():
     p = MatrixPoly.from_scalar_terms(2, {(2, 1): 1.0, (0, 3): 1.0})
     assert p.total_degree() == 3
-    assert p.degree_in(0) == 2 and p.degree_in(1) == 3
     assert MatrixPoly.zero(2).total_degree() == -1
 
 
@@ -264,18 +266,10 @@ def test_quadratic_form():
         p.quadratic_form(np.zeros(3))
 
 
-def test_clean_is_explicit():
-    p = MatrixPoly.from_scalar_terms(1, {(1,): 1.0, (0,): 1e-14})
-    assert (0,) in p.terms
-    assert (0,) not in p.clean(1e-12).terms
-
-
 def test_equality_is_exact():
     p = MatrixPoly.from_scalar_terms(1, {(1,): 1.0})
     q = MatrixPoly.from_scalar_terms(1, {(1,): 1.0 + 1e-15})
     assert p != q
-    assert p.equal_within(q, 1e-12)
-    assert not p.equal_within(MatrixPoly.from_scalar_terms(1, {(1,): 2.0}), 1e-12)
 
 
 def test_immutable():
@@ -293,7 +287,11 @@ def test_immutable():
     assert p.terms.keys() == MatrixPoly.from_scalar_terms(1, {(0,): 2.0}).terms.keys()
 
 
-def test_format_readable():
-    p = MatrixPoly.from_scalar_terms(2, {(1, 0): 1.0, (0, 0): -2.0})
-    text = p.format()
-    assert "z1" in text and "2" in text
+def test_copy_and_pickle_rebuild_without_the_plan():
+    p = rand_poly(np.random.default_rng(3), 2, 2)
+    p.evaluate_many(np.ones((1, 2)))
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and q is not p
+        assert q._plan is None
+        with pytest.raises(TypeError):
+            q.terms[(9, 9)] = np.eye(2)

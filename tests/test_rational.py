@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,12 @@ def test_immutable():
     f = RationalMatrixFunction(one(1), one(1))
     with pytest.raises(AttributeError):
         f.num = one(1)
+
+
+def test_copy_and_pickle():
+    f = RationalMatrixFunction(sp(1, {(1,): 2.0}), sp(1, {(1,): 1.0, (0,): 1j})).normalize()
+    f.eval_many(np.ones((1, 1)))
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert (g.num, g.den, g.normalized) == (f.num, f.den, True)
+    for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g.num._plan is None and g.den._plan is None
