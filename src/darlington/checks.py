@@ -45,6 +45,11 @@ ROOT_ABS_RTOL = 1e-10
 COEFF_REAL_RTOL = 1e-12
 CAYLEY_COND_LIMIT = 1e12
 
+# the sampled checks evaluate wherever the sample lands: values that
+# overflow there are dropped or lose the comparison they enter, so numpy's
+# warnings about them would only clutter stderr
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 class SingularCayley(ArithmeticError):
     """The matrix Cayley transform hit a (numerically) singular pivot."""
@@ -214,6 +219,7 @@ def _psd_report(name, part, f, pts, cfg, tols):
                        cfg.seed, details)
 
 
+@_quiet
 def check_nevanlinna(f, config=None, tolerances=None):
     """Nonnegative imaginary part on the upper poly-half-plane (sampled)."""
     cfg, tols, rng = _setup(config, tolerances)
@@ -221,6 +227,7 @@ def check_nevanlinna(f, config=None, tolerances=None):
     return _psd_report("nevanlinna", "imag", f, pts, cfg, tols)
 
 
+@_quiet
 def check_positive_real(f, config=None, tolerances=None):
     """Nonnegative real part on the right poly-half-plane (sampled)."""
     cfg, tols, rng = _setup(config, tolerances)
@@ -228,6 +235,7 @@ def check_positive_real(f, config=None, tolerances=None):
     return _psd_report("positive-real", "real", f, pts, cfg, tols)
 
 
+@_quiet
 def check_cayley_inner(f, config=None, tolerances=None):
     """Upper-half-plane positivity plus vanishing imaginary part on real points."""
     cfg, tols, rng = _setup(config, tolerances)
@@ -291,40 +299,116 @@ def _scalar_poly(p):
     return p
 
 
-def _descend_to_zero(p, starts, cfg):
-    """Damped Gauss-Newton on |p|^2 from the given starting points.
-
-    Iterates stay in the open upper poly-half-plane (imaginary parts are
-    clipped at half the sampling floor).  Returns the best point and value.
+def _values(basis, coeffs, Z, partials=False):
+    """Values at the rows of Z of one polynomial per row, given as its row
+    of ``coeffs`` over the terms of ``basis``'s plan; with ``partials``, the
+    (n, d) gradients too.
     """
-    grads = [p.differentiate(k) for k in range(p.d)]
-    floor = cfg.imag_floor * 0.5
-    Z = np.array(starts, dtype=np.complex128)
-    vals = p.evaluate_many(Z)[:, 0, 0]
+    if not partials:
+        return np.einsum("nt,tn->n", coeffs, basis.monomials(Z))
+    mono, grad = basis.monomials(Z, partials=True)
+    return np.einsum("nt,tn->n", coeffs, mono), np.einsum("nt,ktn->nk", coeffs, grad)
+
+
+def _descend_to_zero(basis, coeffs, owner, Z, floor):
+    """Damped Gauss-Newton on |p|^2, batched over rows of (polynomial, start).
+
+    Row r descends on the polynomial ``coeffs[owner[r]]`` (see ``_values``);
+    its iterates stay in the open upper poly-half-plane, with imaginary
+    parts clipped at ``floor[owner[r]]``.  Each step tries 8 halvings, and a
+    row stops trying once it improved.  A polynomial's rows stop together
+    after the first of at most 50 iterations in which none of them improved.
+    Returns the final rows and their values.
+    """
+    Z = Z.copy()
+    vals = _values(basis, coeffs[owner], Z)
+    live = np.ones(len(coeffs), dtype=bool)
     for _ in range(50):
-        G = np.stack([g.evaluate_many(Z)[:, 0, 0] for g in grads], axis=1)
+        rows = np.flatnonzero(live[owner])
+        if not len(rows):
+            break
+        own, z, v = owner[rows], Z[rows], vals[rows]
+        c = coeffs[own]
+        _, G = _values(basis, c, z, partials=True)
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = gn2 > 1e-300
-        step = np.zeros_like(Z)
-        step[safe] = -(vals[safe, None] * np.conj(G[safe])) / gn2[safe, None]
-        t = np.ones(len(Z))
-        improved = np.zeros(len(Z), dtype=bool)
+        step = np.zeros_like(G)
+        step[safe] = -(v[safe, None] * np.conj(G[safe])) / gn2[safe, None]
+        t, av, fl = np.ones(len(rows)), np.abs(v), floor[own, None]
+        improved = np.zeros(len(live), dtype=bool)
         for _ in range(8):
-            cand = Z + t[:, None] * step
-            cand = cand.real + 1j * np.maximum(cand.imag, floor)
-            cv = p.evaluate_many(cand)[:, 0, 0]
-            better = (np.abs(cv) < np.abs(vals)) & ~improved
-            Z[better], vals[better] = cand[better], cv[better]
-            improved |= better
-            t = np.where(improved, t, t * 0.5)
-            if improved.all():
-                break
-        if not improved.any():
-            break
-    k = int(np.argmin(np.abs(vals)))
-    return Z[k], vals[k]
+            cand = z + t[:, None] * step
+            np.maximum(cand.imag, fl, out=cand.imag)
+            cv = _values(basis, c, cand)
+            better = np.abs(cv) < av
+            if better.any():
+                done = rows[better]
+                Z[done], vals[done] = cand[better], cv[better]
+                improved[own[better]] = True
+                keep = ~better
+                if not keep.any():
+                    break
+                rows, own, z, c, step, t, av, fl = (
+                    a[keep] for a in (rows, own, z, c, step, t, av, fl))
+            t = t * 0.5
+        live &= improved
+    return Z, vals
 
 
+def _hunt(jobs, tols):
+    """check_stable's reports for (polynomial, config) jobs in one variable count.
+
+    Each polynomial draws its own upper points from its config's seed and
+    descends from the 20 where it is smallest; the rows of all polynomials
+    descend together in one ``_descend_to_zero`` call.
+    """
+    def details(**extra):
+        return dict(tolerances=tols.to_dict(), threshold_rtol=ROOT_ABS_RTOL, **extra)
+
+    reports = [None] * len(jobs)
+    for i, (p, cfg) in enumerate(jobs):
+        if p.is_zero():
+            pt = np.full(p.d, 1j) if p.d else np.zeros(0)
+            witness = {"point": _json_point(pt), "abs_value": 0.0, "note": "zero polynomial"}
+            reports[i] = CheckReport("stable", "fail", 1, -1.0, witness, cfg.seed, details())
+        elif p.d == 0:
+            reports[i] = CheckReport("stable", "inconclusive", 1, float(abs(p.evaluate([])[0, 0])),
+                                     None, cfg.seed, details(note="constant polynomial"))
+    hunted = [i for i, rep in enumerate(reports) if rep is None]
+    if not hunted:
+        return reports
+
+    polys, cfgs = zip(*(jobs[i] for i in hunted))
+    d = polys[0].d
+    basis = MatrixPoly(d, 1, {e: 1.0 for p in polys for e in p.terms})
+    coeffs = np.array([[p.terms[e][0, 0] if e in p.terms else 0.0 for e, _ in basis.ordered_terms()]
+                       for p in polys], dtype=np.complex128)
+    pts = [upper_points(cfg, np.random.default_rng(cfg.seed), d) for cfg in cfgs]
+    sizes = [len(x) for x in pts]
+    vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0), np.vstack(pts)))
+    starts = [x[np.argsort(v)[:20]] for x, v in zip(pts, np.split(vals, np.cumsum(sizes)[:-1]))]
+    owner = np.repeat(np.arange(len(polys)), [len(x) for x in starts])
+    floor = np.array([cfg.imag_floor * 0.5 for cfg in cfgs])
+    Z, best = _descend_to_zero(basis, coeffs, owner, np.vstack(starts), floor)
+
+    for g, (i, p, cfg) in enumerate(zip(hunted, polys, cfgs)):
+        rows = np.flatnonzero(owner == g)
+        k = rows[int(np.argmin(np.abs(best[rows])))]
+        best_val = abs(best[k])
+        margin = float(best_val - ROOT_ABS_RTOL * p.max_coeff_magnitude())
+        if margin < 0.0:
+            witness = {"point": _json_point(Z[k]), "abs_value": _json_float(best_val)}
+            reports[i] = CheckReport("stable", "fail", sizes[g], margin, witness, cfg.seed,
+                                     details(refined_abs_value=_json_float(best_val)))
+        else:
+            reports[i] = CheckReport(
+                "stable", "inconclusive", sizes[g], margin, None, cfg.seed,
+                details(refined_abs_value=_json_float(best_val),
+                        note="no zero found; sampling cannot prove stability"))
+    return reports
+
+
+@_quiet
 def check_stable(p, config=None, tolerances=None):
     """Hunt for a zero of p in the open upper poly-half-plane.
 
@@ -333,54 +417,39 @@ def check_stable(p, config=None, tolerances=None):
     never "pass".
     """
     p = _scalar_poly(p)
-    cfg, tols, rng = _setup(config, tolerances)
-    scale = p.max_coeff_magnitude()
-    details = {"tolerances": tols.to_dict(), "threshold_rtol": ROOT_ABS_RTOL}
-    if p.is_zero():
-        pt = np.full(p.d, 1j) if p.d else np.zeros(0)
-        witness = {"point": _json_point(pt), "abs_value": 0.0, "note": "zero polynomial"}
-        return CheckReport("stable", "fail", 1, -1.0, witness, cfg.seed, details)
-    if p.d == 0:
-        return CheckReport("stable", "inconclusive", 1, float(abs(p.evaluate([])[0, 0])),
-                           None, cfg.seed, dict(details, note="constant polynomial"))
-
-    pts = upper_points(cfg, rng, p.d)
-    vals = np.abs(p.evaluate_many(pts)[:, 0, 0])
-    order = np.argsort(vals)[:20]
-    best_pt, best_val = _descend_to_zero(p, pts[order], cfg)
-    threshold = ROOT_ABS_RTOL * scale
-    margin = float(abs(best_val) - threshold)
-    details["refined_abs_value"] = _json_float(abs(best_val))
-    if margin < 0.0:
-        witness = {"point": _json_point(best_pt), "abs_value": _json_float(abs(best_val))}
-        return CheckReport("stable", "fail", len(pts), margin, witness, cfg.seed, details)
-    return CheckReport("stable", "inconclusive", len(pts), margin, None, cfg.seed,
-                       dict(details, note="no zero found; sampling cannot prove stability"))
+    cfg, tols, _ = _setup(config, tolerances)
+    return _hunt([(p, cfg)], tols)[0]
 
 
-def check_real_stable(p, config=None, tolerances=None):
-    """Real coefficients plus no zero in the open upper poly-half-plane."""
-    p = _scalar_poly(p)
-    cfg, tols, rng = _setup(config, tolerances)
+def _non_real_report(p, cfg, rng):
+    """check_real_stable's failing report when p has non-real coefficients, else None."""
     scale = p.max_coeff_magnitude()
     imag_excess = max(
         (float(np.abs(a.imag).max()) for a in p.terms.values()), default=0.0
     )
-    if imag_excess > COEFF_REAL_RTOL * max(scale, 1e-300):
-        # witness: a real point where the imaginary part is re-evaluably large
-        pts = real_points(cfg, rng, p.d)
-        imvals = np.abs(p.evaluate_many(pts)[:, 0, 0].imag)
-        k = int(np.argmax(imvals))
-        witness = {
-            "point": _json_point(pts[k]),
-            "imag_value": _json_float(imvals[k]),
-            "part": "non-real-coefficients",
-        }
-        return CheckReport("real-stable", "fail", len(pts), float(-imvals[k]), witness,
-                           cfg.seed, {"imag_coeff_max": _json_float(imag_excess)})
-    inner = check_stable(p, cfg, tols)
-    return CheckReport("real-stable", inner.verdict, inner.samples_used,
-                       inner.worst_margin, inner.witness, inner.seed, inner.details)
+    if imag_excess <= COEFF_REAL_RTOL * max(scale, 1e-300):
+        return None
+    # witness: a real point where the imaginary part is re-evaluably large
+    pts = real_points(cfg, rng, p.d)
+    imvals = np.abs(p.evaluate_many(pts)[:, 0, 0].imag)
+    k = int(np.argmax(imvals))
+    witness = {
+        "point": _json_point(pts[k]),
+        "imag_value": _json_float(imvals[k]),
+        "part": "non-real-coefficients",
+    }
+    return CheckReport("real-stable", "fail", len(pts), float(-imvals[k]), witness,
+                       cfg.seed, {"imag_coeff_max": _json_float(imag_excess)})
+
+
+@_quiet
+def check_real_stable(p, config=None, tolerances=None):
+    """Real coefficients plus no zero in the open upper poly-half-plane."""
+    p = _scalar_poly(p)
+    cfg, tols, rng = _setup(config, tolerances)
+    rep = _non_real_report(p, cfg, rng) or check_stable(p, cfg, tols)
+    rep.check = "real-stable"
+    return rep
 
 
 # ----------------------------------------------------------------------
@@ -456,41 +525,54 @@ class PencilProbe:
         }
 
 
+@_quiet
 def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     """Probe the equivalence between combined-zero freeness, pencil
-    real-stability and member real-stability for a real pair (p, q)."""
+    real-stability and member real-stability for a real pair (p, q).
+
+    The combined polynomial and every member with real coefficients are
+    hunted in one batched descent, each with its own seed and point set.
+    """
     p, q = _real_scalar_pair(p, q)
     cfg, tols, rng = _setup(config, tolerances)
-    combined = check_stable(p + q.scaled(1j), cfg, tols)
-    combined.check = "combined-stable"
     pencil = pencil_probe(p, q, cfg, tols)
 
     thetas = rng.uniform(0.0, np.pi, members)
     member_cfg_count = max(40, cfg.count // 4)
     scale = max(p.max_coeff_magnitude(), q.max_coeff_magnitude(), 1e-300)
-    falsified = 0
-    checked = 0
-    member_witness = None
+    jobs = [(p + q.scaled(1j), cfg)]
+    checked = []  # (theta, its non-real report, or None if it joins the hunt)
     for theta in thetas:
         member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
         if member.max_coeff_magnitude() <= 1e-14 * scale:
             continue
-        checked += 1
-        sub_seed = int(rng.integers(2**31 - 1))
-        sub_cfg = replace(cfg, seed=sub_seed, count=member_cfg_count)
-        rep = check_real_stable(member, sub_cfg, tols)
+        sub_cfg = replace(cfg, seed=int(rng.integers(2**31 - 1)), count=member_cfg_count)
+        rep = _non_real_report(member, sub_cfg, np.random.default_rng(sub_cfg.seed))
+        if rep is None:
+            jobs.append((member, sub_cfg))
+        checked.append((theta, rep))
+
+    hunted = iter(_hunt(jobs, tols))
+    combined = next(hunted)
+    combined.check = "combined-stable"
+    falsified = 0
+    member_witness = None
+    for theta, rep in checked:
+        rep = rep or next(hunted)
         if rep.verdict == "fail":
             falsified += 1
             if member_witness is None:
                 member_witness = dict(rep.witness or {}, theta=float(theta))
-    return PencilProbe(combined, pencil, falsified, checked, member_witness, cfg.seed)
+    return PencilProbe(combined, pencil, falsified, len(checked), member_witness, cfg.seed)
 
 
+@_quiet
 def lemma12_probe(p, q, config=None, tolerances=None):
     """Sign-definiteness of Im(p/q) on the upper poly-half-plane.
 
     A real-stable pencil p + z_new q forces the ratio to move the upper
     half-plane one way only; a strongly mixed sign pattern falsifies that.
+    Points where Im(p/q) is not finite are dropped, as in the class checks.
     """
     p, q = _scalar_poly(p), _scalar_poly(q)
     if p.d != q.d:
@@ -501,26 +583,28 @@ def lemma12_probe(p, q, config=None, tolerances=None):
     pts = upper_points(cfg, rng, p.d)
     f = RationalMatrixFunction(p, q)
     vals, ok = f.eval_many(pts, tols.den_floor)
-    used = int(ok.sum())
     details = {"points_drawn": int(len(pts)), "reality_slack": tols.reality_slack}
-    if used == 0:
-        return CheckReport("ratio-sign-definite", "inconclusive", 0, float("nan"),
-                           None, cfg.seed, dict(details, note=POLE_NOTE))
     im = vals[ok][:, 0, 0].imag
+    fin = np.isfinite(im)
+    im, kept = im[fin], pts[ok][fin]
+    if not len(im):
+        note = POLE_NOTE if not ok.any() else OVERFLOW_NOTE
+        return CheckReport("ratio-sign-definite", "inconclusive", 0, float("nan"),
+                           None, cfg.seed, dict(details, note=note))
     lo, hi = float(im.min()), float(im.max())
     mixed = min(-lo, hi)
     margin = tols.reality_slack - mixed
     witness = None
     if margin < 0.0:
         witness = {
-            "point_min": _json_point(pts[ok][int(np.argmin(im))]),
-            "point_max": _json_point(pts[ok][int(np.argmax(im))]),
+            "point_min": _json_point(kept[int(np.argmin(im))]),
+            "point_max": _json_point(kept[int(np.argmax(im))]),
             "imag_min": _json_float(lo),
             "imag_max": _json_float(hi),
         }
     details.update(imag_min=_json_float(lo), imag_max=_json_float(hi))
     return CheckReport("ratio-sign-definite", "fail" if margin < 0 else "pass",
-                       used, float(margin), witness, cfg.seed, details)
+                       len(im), float(margin), witness, cfg.seed, details)
 
 
 # ----------------------------------------------------------------------

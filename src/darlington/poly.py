@@ -9,8 +9,8 @@ Terms are kept sparse: a coefficient is dropped only when it is exactly
 zero after arithmetic; nothing is purged by tolerance.  Instances are
 immutable: the coefficient arrays are copied on construction and flagged
 read-only, and ``terms`` is a read-only mapping.  That is what makes the
-evaluation plan safe to cache: it is built on the first ``evaluate_many``
-call and kept for the life of the instance.
+evaluation plan safe to cache: it is built on the first evaluation and
+kept for the life of the instance.
 
 The canonical term order everywhere (iteration, leading coefficient,
 serialization) is graded lexicographic, highest first.
@@ -196,17 +196,7 @@ class MatrixPoly:
 
     def evaluate(self, z):
         """Value at a point, as an (m, m) array.  z: length-d sequence."""
-        z = np.asarray(z, dtype=np.complex128).reshape(-1)
-        if z.shape[0] != self.d:
-            raise DimensionMismatch("point has %d coordinates, expected %d" % (z.shape[0], self.d))
-        out = np.zeros((self.m, self.m), dtype=np.complex128)
-        for e, a in self.ordered_terms():
-            mono = 1.0 + 0j
-            for zk, ek in zip(z, e):
-                if ek:
-                    mono *= zk ** ek
-            out = out + a * mono
-        return out
+        return self.evaluate_many(np.reshape(np.asarray(z, dtype=np.complex128), (1, -1)))[0]
 
     def _evaluation_plan(self):
         """Coefficient stack and per-variable power table, built once.
@@ -229,6 +219,18 @@ class MatrixPoly:
             object.__setattr__(self, "_plan", (coeffs, tuple(powers)))
         return self._plan
 
+    def _factors(self, Z):
+        """Z as an (n, d) array, and the (T, n, d) table of ``z_k ** e_k``
+        per term, point and variable."""
+        Z = np.asarray(Z, dtype=np.complex128)
+        if Z.ndim != 2 or Z.shape[1] != self.d:
+            raise DimensionMismatch("expected point array of shape (n, %d)" % self.d)
+        coeffs, powers = self._evaluation_plan()
+        factors = np.empty((len(coeffs), Z.shape[0], self.d), dtype=np.complex128)
+        for k, (ks, inv) in enumerate(powers):
+            factors[:, :, k] = (Z[None, :, k] ** ks)[inv]
+        return Z, factors
+
     def evaluate_many(self, Z):
         """Vectorized evaluation.  Z: (n, d) array -> (n, m, m) array.
 
@@ -240,19 +242,28 @@ class MatrixPoly:
         differently from the scalar loop such a ``prod`` runs, and which of
         the two a product takes depends on the operands' shapes.
         """
-        Z = np.asarray(Z, dtype=np.complex128)
-        if Z.ndim != 2 or Z.shape[1] != self.d:
-            raise DimensionMismatch("expected point array of shape (n, %d)" % self.d)
-        coeffs, powers = self._evaluation_plan()
-        n = Z.shape[0]
-        factors = np.empty((len(coeffs), n, self.d), dtype=np.complex128)
-        for k, (ks, inv) in enumerate(powers):
-            factors[:, :, k] = (Z[None, :, k] ** ks)[inv]
-        mono = factors.prod(axis=2)
-        out = np.zeros((n, self.m, self.m), dtype=np.complex128)
-        for j, a in enumerate(coeffs):
+        mono = self.monomials(Z)
+        out = np.zeros((mono.shape[1], self.m, self.m), dtype=np.complex128)
+        for j, a in enumerate(self._evaluation_plan()[0]):
             out += mono[j, :, None, None] * a[None, :, :]
         return out
+
+    def monomials(self, Z, partials=False):
+        """Every term's monomial at every point, terms in plan (graded-lex) order.
+
+        Returns the (T, n) array of ``prod(z ** e)``; with ``partials`` also
+        the (d, T, n) array of its derivatives in each variable, from the same
+        power table (``e_k z_k ** (e_k - 1)`` replaces factor k).
+        """
+        Z, factors = self._factors(Z)
+        mono = factors.prod(axis=2)
+        if not partials:
+            return mono
+        grad = np.empty((self.d,) + mono.shape, dtype=np.complex128)
+        for k, (ks, inv) in enumerate(self._evaluation_plan()[1]):
+            others = factors[:, :, [j for j in range(self.d) if j != k]].prod(axis=2)
+            grad[k] = others * (ks * Z[None, :, k] ** np.maximum(ks.real - 1, 0))[inv]
+        return mono, grad
 
     # ------------------------------------------------------------------
     # structure maps

@@ -1,5 +1,8 @@
 """Sampling-based class membership, stability falsification, and the probes."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from darlington import (
     rotate_to_positive_real,
     upper_to_disk,
 )
+from darlington.checks import upper_points
 from corpus import herglotz_cases, pair_cases
 
 
@@ -87,7 +91,6 @@ def test_cayley_inner_flags_interior_violations_too():
     assert rep.witness["part"] == "interior-psd"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("terms", [{(9,): 1e300}, {(400,): 1.0}])
 def test_overflowed_margins_never_pass(terms):
     # values overflow at part of the sample: those points are dropped, so
@@ -232,6 +235,135 @@ def test_lemma11_member_witness_carries_angle():
     probe = lemma11_probe(sp(1, {(2,): 1.0}), one(1), FAST)
     assert probe.any_member_falsified
     assert "theta" in probe.member_witness
+
+
+def descent_reference(p, cfg):
+    """check_stable's zero hunt as one descent per polynomial, with the
+    gradient from differentiate(): the loop the batched descent replaced,
+    kept as its reference.  Returns the best point and value."""
+    pts = upper_points(cfg, np.random.default_rng(cfg.seed), p.d)
+    Z = pts[np.argsort(np.abs(p.evaluate_many(pts)[:, 0, 0]))[:20]]
+    grads = [p.differentiate(k) for k in range(p.d)]
+    vals = p.evaluate_many(Z)[:, 0, 0]
+    for _ in range(50):
+        G = np.stack([g.evaluate_many(Z)[:, 0, 0] for g in grads], axis=1)
+        gn2 = (np.abs(G) ** 2).sum(axis=1)
+        safe = gn2 > 1e-300
+        step = np.zeros_like(Z)
+        step[safe] = -(vals[safe, None] * np.conj(G[safe])) / gn2[safe, None]
+        t = np.ones(len(Z))
+        improved = np.zeros(len(Z), dtype=bool)
+        for _ in range(8):
+            cand = Z + t[:, None] * step
+            cand = cand.real + 1j * np.maximum(cand.imag, cfg.imag_floor * 0.5)
+            cv = p.evaluate_many(cand)[:, 0, 0]
+            better = (np.abs(cv) < np.abs(vals)) & ~improved
+            Z[better], vals[better] = cand[better], cv[better]
+            improved |= better
+            t = np.where(improved, t, t * 0.5)
+            if improved.all():
+                break
+        if not improved.any():
+            break
+    k = int(np.argmin(np.abs(vals)))
+    return Z[k], abs(vals[k])
+
+
+def test_batched_descent_matches_reference():
+    # the batched descent takes value and gradient from the plan, so it
+    # rounds differently: verdicts agree exactly, points and values to 1e-9
+    polys = []
+    for case in pair_cases():
+        p, q, d = case.p, case.q, case.p.d
+        polys += [p + q.scaled(1j),
+                  p.append_variable() + MatrixPoly.variable(d + 1, d) * q.append_variable(),
+                  p.scaled(0.6) + q.scaled(-0.8)]
+    for p in polys:
+        rep = check_stable(p, FAST)
+        point, value = descent_reference(p, FAST)
+        assert (value < 1e-10 * p.max_coeff_magnitude()) == (rep.verdict == "fail")
+        if rep.verdict == "fail":
+            got = np.array([complex(*xy) for xy in rep.witness["point"]])
+            np.testing.assert_allclose(got, point, rtol=0, atol=1e-9)
+        else:
+            assert rep.details["refined_abs_value"] == pytest.approx(value, rel=1e-9)
+
+
+def per_member_loop(p, q, cfg, members):
+    """lemma11_probe's member route as one check_real_stable call per member.
+
+    The loop the batched descent replaced, kept as its reference: same
+    angles, skip rule and sub-seed order.  Returns (falsified, checked,
+    theta of the first falsified member).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    thetas = rng.uniform(0.0, np.pi, members)
+    scale = max(p.max_coeff_magnitude(), q.max_coeff_magnitude(), 1e-300)
+    falsified, checked, theta_w = 0, 0, None
+    for theta in thetas:
+        member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
+        if member.max_coeff_magnitude() <= 1e-14 * scale:
+            continue
+        checked += 1
+        sub_cfg = replace(cfg, seed=int(rng.integers(2**31 - 1)), count=max(40, cfg.count // 4))
+        if check_real_stable(member, sub_cfg).verdict == "fail":
+            falsified += 1
+            theta_w = float(theta) if theta_w is None else theta_w
+    return falsified, checked, theta_w
+
+
+@pytest.mark.parametrize("cfg", [FAST, SampleConfig()], ids=["fast", "default"])
+def test_lemma11_batch_matches_per_member_loop(cfg):
+    # 10 members keep the reference loop's one descent per member affordable
+    for case in pair_cases():
+        probe = lemma11_probe(case.p, case.q, cfg, members=10)
+        theta = probe.member_witness["theta"] if probe.member_witness else None
+        got = (probe.members_falsified, probe.members_checked, theta)
+        assert got == per_member_loop(case.p, case.q, cfg, 10), case.name
+        combined = check_stable(case.p + case.q.scaled(1j), cfg)
+        assert probe.combined.verdict == combined.verdict, case.name
+
+
+def test_descent_needs_no_derivative_polynomials(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("the descent takes its gradient from the plan")
+
+    monkeypatch.setattr(MatrixPoly, "differentiate", refuse)
+    assert check_stable(sp(2, {(1, 0): 1.0, (0, 1): -1.0}), FAST).verdict == "fail"
+    probe = lemma11_probe(sp(1, {(2,): 1.0}), one(1), FAST)
+    assert probe.pencil_falsified and probe.any_member_falsified
+
+
+def test_overflowing_pair_gives_finite_margins_and_no_warning():
+    p, q = sp(1, {(9,): 1e300}), one(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probe = lemma11_probe(p, q, FAST)
+        ratio = lemma12_probe(p, q, FAST)
+    for rep in (probe.combined, probe.pencil, ratio):
+        assert not np.isnan(rep.worst_margin), rep.check
+    w = probe.member_witness
+    assert w is not None
+    member = p.scaled(float(np.cos(w["theta"]))) + q.scaled(float(np.sin(w["theta"])))
+    val = member.evaluate([complex(*xy) for xy in w["point"]])[0, 0]
+    assert abs(val) <= 1e-10 * member.max_coeff_magnitude()
+
+
+@pytest.mark.parametrize("p, q", [
+    (sp(1, {(9,): 1e300}), one(1)),                       # overflows on part of the sample
+    (sp(1, {(1,): 1e300, (0,): 1e300}), sp(1, {(0,): 1e-300})),  # overflows everywhere
+])
+def test_lemma12_never_passes_on_a_non_finite_margin(p, q):
+    rep = lemma12_probe(p, q)
+    assert rep.verdict != "pass" or np.isfinite(rep.worst_margin)
+    if rep.verdict == "inconclusive":
+        assert rep.details["note"] == "every sample hit the pole floor or gave a non-finite margin"
+        return
+    assert rep.verdict == "fail" and np.isfinite(rep.worst_margin)
+    f = RationalMatrixFunction(p, q)
+    lo = f.eval(np.array([complex(*xy) for xy in rep.witness["point_min"]]))[0, 0].imag
+    hi = f.eval(np.array([complex(*xy) for xy in rep.witness["point_max"]]))[0, 0].imag
+    assert lo < 0 < hi
 
 
 def test_lemma12_needs_nonzero_denominator():

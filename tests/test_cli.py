@@ -364,3 +364,20 @@ def test_normalization_overflow_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "leading denominator coefficient (1e-308+0j)" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--class", "nevanlinna"], 1),
+    (["stable"], 6),
+])
+def test_overflowing_values_leave_one_stderr_line(tmp_path, capsys, argv, code):
+    # 1e300 z1^9 overflows at part of the sample; the checks drop or
+    # outvote those values without a numpy RuntimeWarning on stderr
+    path = poly_file(tmp_path, "ovf.json", sp(1, {(9,): 1e300}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main([argv[0], path] + argv[1:])
+    captured = capsys.readouterr()
+    assert got == code
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.out)

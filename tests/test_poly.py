@@ -171,6 +171,32 @@ def test_evaluate_many_is_bit_identical_to_term_loop(d, m):
                                       term_loop_evaluate_many(p, Z).view(np.uint64))
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_monomial_partials_match_differentiate(d):
+    rng = np.random.default_rng([d, 11])
+    p = rand_poly(rng, d, 1, nterms=8, max_deg=4)
+    Z = rng.uniform(-2, 2, (9, d)) + 1j * rng.uniform(0, 2, (9, d))
+    Z[0] = 0.0   # e * z ** (e - 1) at z = 0, where z ** -1 would divide by zero
+    coeffs = np.array([a[0, 0] for _, a in p.ordered_terms()])
+    mono, grad = p.monomials(Z, partials=True)
+    assert np.array_equal(p.monomials(Z), mono)
+    assert grad.shape == (d, len(coeffs), len(Z))
+    np.testing.assert_allclose(coeffs @ mono, p.evaluate_many(Z)[:, 0, 0], rtol=1e-12, atol=1e-12)
+    for k in range(d):
+        np.testing.assert_allclose(coeffs @ grad[k], p.differentiate(k).evaluate_many(Z)[:, 0, 0],
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_evaluate_wraps_evaluate_many():
+    rng = np.random.default_rng(12)
+    p = rand_poly(rng, 2, 2)
+    z = (0.5 + 1j, -2.0 + 0.25j)
+    assert np.array_equal(p.evaluate(z), p.evaluate_many([z])[0])
+    assert MatrixPoly.constant(0, 3.0).evaluate([])[0, 0] == 3.0
+    with pytest.raises(DimensionMismatch):
+        p.evaluate((1.0,))
+
+
 def test_evaluation_plan_is_built_once(monkeypatch):
     calls = []
     ordered_terms = MatrixPoly.ordered_terms
