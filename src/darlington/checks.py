@@ -147,17 +147,8 @@ def upper_points(cfg, rng, d):
 
 
 def right_points(cfg, rng, d):
-    """Sample the open right poly-half-plane."""
-    r, fl = cfg.box_radius, cfg.imag_floor
-    x = _log_uniform(rng, fl, r, (cfg.count, d))
-    y = rng.uniform(-r, r, (cfg.count, d))
-    blocks = [x + 1j * y]
-    if cfg.include_edge_points:
-        blocks.append(fl + 1j * rng.uniform(-r, r, (10, d)))
-        signs = rng.integers(0, 2, (10, d)) * 2 - 1
-        blocks.append(_log_uniform(rng, fl, r, (10, d)) + 1j * signs * r)
-        blocks.append(fl * 1e-3 + 1j * rng.uniform(-r, r, (10, d)))
-    return np.vstack(blocks)
+    """Sample the open right poly-half-plane: the upper one turned by -i."""
+    return -1j * upper_points(cfg, rng, d)
 
 
 def real_points(cfg, rng, d):

@@ -170,7 +170,17 @@ def _stable(args, f, inputs, cfg, tols):
 
 
 def _realize1d(args, f, inputs, cfg, tols):
-    real = realize_1d(f)
+    try:
+        real = realize_1d(f)
+    except SplitFailed as exc:
+        # the exact verdict fails; the input's own check says whose fault it is
+        rep = check_positive_real(f, cfg, tols)
+        cause = "input" if rep.verdict == "fail" else "library"
+        verdicts = {"positive-real": rep.verdict, "reconstruction": "fail"}
+        witnesses = {"positive-real": _evidence(rep),
+                     "reconstruction": {"split_failed": str(exc), "cause": cause}}
+        return verdicts, witnesses, "realize1d: split failed (%s); input positive-real=%s" % (
+            exc, rep.verdict)
     rep_block = check_positive_real(real.block(), cfg, tols)
 
     def fd(g):
@@ -374,7 +384,7 @@ def main(argv=None):
     except ReconstructionMismatch as exc:
         _say("identity failure: %s" % exc)
         return EXIT_IDENTITY
-    except (SplitFailed, SingularCayley) as exc:
+    except SingularCayley as exc:
         _say("class failure: %s" % exc)
         return EXIT_CLASS
     except NearPole as exc:

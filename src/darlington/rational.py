@@ -190,6 +190,64 @@ def rotate_to_positive_real(f):
 
 
 # ----------------------------------------------------------------------
+# univariate helpers: ascending coefficient arrays of scalar polynomials
+
+
+def _trim(u, tol):
+    """u without its top coefficients of magnitude <= tol; empty when all are."""
+    n = len(u)
+    while n > 0 and abs(u[n - 1]) <= tol:
+        n -= 1
+    return u[:n]
+
+
+def _coeffs(p):
+    """Coefficients of a scalar univariate MatrixPoly ([0] when it is zero)."""
+    out = np.zeros(max(p.total_degree(), 0) + 1, dtype=np.complex128)
+    for e, arr in p.terms.items():
+        out[e[0]] = arr[0, 0]
+    return out
+
+
+def _poly1(u):
+    """The scalar univariate MatrixPoly with coefficients u."""
+    return MatrixPoly.from_scalar_terms(1, {(k,): c for k, c in enumerate(u)})
+
+
+def _negate_argument(u):
+    """Coefficients of p(-s) from those of p(s)."""
+    v = np.array(u)
+    v[1::2] *= -1
+    return v
+
+
+def _poly_mod(u, v):
+    """Remainder of u by monic v."""
+    r = np.array(u, dtype=np.complex128)
+    while len(r) >= len(v):
+        c = r[-1]
+        if c != 0:
+            r[len(r) - len(v):] -= c * v
+        r = r[:-1]
+    return r
+
+
+def _restrict_to_line(p, a, b):
+    """Coefficients in t of the scalar p on the line z = a + t b."""
+    if p.is_zero():
+        return np.zeros(1, dtype=np.complex128)
+    out = np.zeros(p.total_degree() + 1, dtype=np.complex128)
+    for e, arr in p.ordered_terms():
+        mono = np.ones(1, dtype=np.complex128)
+        for k, ek in enumerate(e):
+            lin = np.array([a[k], b[k]], dtype=np.complex128)
+            for _ in range(ek):
+                mono = np.convolve(mono, lin)
+        out[: len(mono)] += arr[0, 0] * mono
+    return out
+
+
+# ----------------------------------------------------------------------
 # coprimality probe
 
 
@@ -209,24 +267,6 @@ class CoprimeVerdict:
         }
 
 
-def _trim_leading(u, tol):
-    n = len(u)
-    while n > 0 and abs(u[n - 1]) <= tol:
-        n -= 1
-    return u[:n]
-
-
-def _poly_mod(u, v):
-    # remainder of u by monic v; ascending coefficient arrays
-    r = np.array(u, dtype=np.complex128)
-    while len(r) >= len(v):
-        c = r[-1]
-        if c != 0:
-            r[len(r) - len(v):] -= c * v
-        r = r[:-1]
-    return r
-
-
 def _gcd_degree(u, v, drop_tol=GCD_DROP_TOL):
     """Degree of gcd of two univariate float polynomials (ascending coeffs).
 
@@ -240,7 +280,7 @@ def _gcd_degree(u, v, drop_tol=GCD_DROP_TOL):
         mx = np.abs(w).max() if w.size else 0.0
         if mx == 0.0:
             return w[:0]
-        w = _trim_leading(w, drop_tol * mx)
+        w = _trim(w, drop_tol * mx)
         return w / w[-1] if w.size else w
 
     u, v = prep(u), prep(v)
@@ -260,25 +300,10 @@ def _gcd_degree(u, v, drop_tol=GCD_DROP_TOL):
         # negligible relative to the operands (both monic), not to itself:
         # a numerically-zero remainder must actually vanish here
         scale = max(np.abs(u).max(), np.abs(v).max())
-        r = _trim_leading(r, drop_tol * scale)
+        r = _trim(r, drop_tol * scale)
         if r.size == 0:
             return len(v) - 1
         u, v = v, r / r[-1]
-
-
-def _restrict_to_line(p, a, b):
-    """Univariate coefficients (ascending in t) of the scalar p on z = a + t b."""
-    if p.is_zero():
-        return np.zeros(1, dtype=np.complex128)
-    out = np.zeros(p.total_degree() + 1, dtype=np.complex128)
-    for e, arr in p.ordered_terms():
-        mono = np.ones(1, dtype=np.complex128)
-        for k, ek in enumerate(e):
-            lin = np.array([a[k], b[k]], dtype=np.complex128)
-            for _ in range(ek):
-                mono = np.convolve(mono, lin)
-        out[: len(mono)] += arr[0, 0] * mono
-    return out
 
 
 def coprime_probe(f, lines=8, seed=0xDA71):

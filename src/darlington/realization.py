@@ -9,11 +9,13 @@ loop with a unit load recovers the input:
 
 The route goes through the one-variable lift: rotate to the upper
 half-plane frame, split numerator and denominator into coefficient
-halves, rotate the pencil back, then factor the residual coupling term
-w = b*c across s -> -s by matching root pairs of its numerator and
-denominator (the coupling term of a real positive-real function is real
-and even, and nonpositive on the imaginary axis, which is what makes the
-sign-symmetric factorization possible).
+halves p1, p2, q1, q2 and rotate the pencil back.  Then a = p1/q1 and
+d = q2/q1.  The zeros of q1 interlace with those of q2 (Hermite-Biehler),
+so they lie on the imaginary axis, and den = q1/lead(q1) is the exact
+denominator factor of the coupling term w = b*c across s -> -s: all four
+entries share it.  Only the coupling numerator is factored, as
+kappa h(s) h(-s) with h real and Hurwitz: it is real and even, so its
+roots come from a polynomial of half the degree in s^2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ from .lift import decompose
 from .poly import MatrixPoly
 from .rational import (
     RationalMatrixFunction,
-    from_entries,
+    _coeffs,
+    _negate_argument,
+    _poly1,
+    _trim,
     identity_equal,
     rotate_to_nevanlinna,
 )
@@ -43,8 +48,6 @@ __all__ = [
 
 SPLIT_STRUCTURE_RTOL = 1e-7
 SPLIT_IDENTITY_RTOL = 1e-7
-ROOT_MATCH_RTOL = 1e-6
-ROOT_AXIS_RTOL = 1e-7
 
 
 class NotScalar(ValueError):
@@ -58,9 +61,9 @@ class NotOneVariable(ValueError):
 class SplitFailed(ArithmeticError):
     """The coupling term could not be factored across s -> -s.
 
-    Typically the input was not positive-real (the factorization constant
-    came out non-positive) or had non-real coefficients in the branch that
-    requires real ones.
+    The input was not positive-real (the factorization constant came out
+    non-positive, or the stable factor not real) or had non-real
+    coefficients in the branch that requires real ones.
     """
 
 
@@ -75,7 +78,8 @@ class LFTRealization:
     variant is "lft" (generic case, f = a - b*c/(d+1)), "affine-residual"
     (denominator already real: f = a + residual, load enters affinely) or
     "lossless-trivial" (numerator and denominator both already real:
-    f = a and the load decouples).  kappa is the positive constant of the
+    f = a and the load decouples).  Every entry, and the residual, is over
+    the one denominator a.den.  kappa is the positive constant of the
     coupling factorization (None when there was nothing to factor).
     r is the load multiplicity, always 1 here.
     """
@@ -91,8 +95,13 @@ class LFTRealization:
     r: int = 1
 
     def block(self):
-        """The 2 x 2 matrix function [[a, b], [c, d]]."""
-        return from_entries([[self.a, self.b], [self.c, self.d]])
+        """The 2 x 2 matrix function [[a, b], [c, d]] over the shared a.den."""
+        terms = {}
+        for k, g in enumerate((self.a, self.b, self.c, self.d)):
+            for e, arr in g.num.terms.items():
+                terms.setdefault(e, np.zeros((2, 2), dtype=np.complex128))
+                terms[e][divmod(k, 2)] = arr[0, 0]
+        return RationalMatrixFunction(MatrixPoly(1, 2, terms), self.a.den)
 
     def closure(self):
         """The loop closure as one exact rational function.
@@ -102,37 +111,12 @@ class LFTRealization:
         """
         if self.variant == "lossless-trivial":
             return self.a
+        den = self.a.den
         if self.variant == "affine-residual":
-            e = self.residual
-            num = self.a.num * e.den + e.num * self.a.den
-            return RationalMatrixFunction(num, self.a.den * e.den)
-        wn = self.b.num * self.c.num
-        wd = self.b.den * self.c.den
-        shifted = self.d.den + self.d.num  # d + 1 over d.den
-        num = self.a.num * (wd * shifted) - (wn * self.d.den) * self.a.den
-        den = self.a.den * (wd * shifted)
-        return RationalMatrixFunction(num, den)
-
-
-def _coeffs(p):
-    # scalar univariate MatrixPoly -> ascending coefficient array
-    if p.is_zero():
-        return np.zeros(1, dtype=np.complex128)
-    out = np.zeros(p.total_degree() + 1, dtype=np.complex128)
-    for e, arr in p.terms.items():
-        out[e[0]] = arr[0, 0]
-    return out
-
-
-def _poly1(coeffs):
-    return MatrixPoly.from_scalar_terms(1, {(k,): c for k, c in enumerate(coeffs) if c != 0})
-
-
-def _trim(u, tol):
-    n = len(u)
-    while n > 1 and abs(u[n - 1]) <= tol:
-        n -= 1
-    return u[:n]
+            return RationalMatrixFunction(self.a.num + self.residual.num, den)
+        shifted = den + self.d.num  # (d + 1) den
+        return RationalMatrixFunction(self.a.num * shifted - self.b.num * self.c.num,
+                                      den * shifted)
 
 
 def _force_real_even(u, what):
@@ -150,147 +134,31 @@ def _force_real_even(u, what):
     return v
 
 
-def _negate_argument(u):
-    # coefficients of p(-s) from those of p(s)
-    v = np.array(u, dtype=np.complex128)
-    v[1::2] *= -1.0
-    return v
+def _split_coupling(v):
+    """Factor v = kappa h(s) h(-s) with h real, monic and Hurwitz, kappa > 0.
 
-
-def _roots(u):
-    u = _trim(np.asarray(u, dtype=np.complex128), 1e-12 * max(np.abs(u).max(), 1e-300))
-    if len(u) <= 1:
-        return np.zeros(0, dtype=np.complex128)
-    return np.roots(u[::-1])
-
-
-def _pop_closest(pool, target, tol):
-    if not pool:
-        return None
-    j = min(range(len(pool)), key=lambda k: abs(pool[k] - target))
-    if abs(pool[j] - target) > tol:
-        return None
-    return pool.pop(j)
-
-
-def _half_roots(roots, what):
-    """Pick one representative per {r, -r} pair, conjugation-closed.
-
-    Off-axis pairs take the left-half-plane member; real pairs take the
-    negative member; imaginary-axis pairs (which come in duplicates when
-    the polynomial is nonnegative on that axis) alternate sign so the
-    product stays real.
+    v is even, v(s) = U(s^2), so h has the roots -sqrt(u) over the roots u
+    of U, and h(s) h(-s) = (-1)^deg h U(s^2) / lead(U).  Returns (h, kappa).
     """
-    scale = 1.0 + (np.abs(roots).max() if len(roots) else 0.0)
-    ztol = ROOT_MATCH_RTOL * scale
-    pool = sorted(roots.tolist(), key=lambda r: (-abs(r), r.real, r.imag))
-    zeros = [r for r in pool if abs(r) <= ztol]
-    pool = [r for r in pool if abs(r) > ztol]
-    if len(zeros) % 2:
-        raise SplitFailed("%s has a zero root of odd multiplicity" % what)
-    reps = [0.0 + 0.0j] * (len(zeros) // 2)
-    axis_toggle = {}
-    while pool:
-        r = pool.pop(0)
-        partner = _pop_closest(pool, -r, ROOT_MATCH_RTOL * (1.0 + abs(r)))
-        if partner is None:
-            raise SplitFailed("%s roots are not symmetric under negation" % what)
-        if abs(r.real) <= ROOT_AXIS_RTOL * (1.0 + abs(r)):
-            y = abs(r.imag)
-            key = round(np.log10(y) * 6.0) if y > 0 else 0
-            flip = axis_toggle.get(key, False)
-            reps.append(-1j * y if flip else 1j * y)
-            axis_toggle[key] = not flip
-        elif abs(r.imag) <= ROOT_AXIS_RTOL * (1.0 + abs(r)):
-            reps.append(-abs(r.real) + 0.0j)
-        else:
-            reps.append(r if r.real < 0 else -r)
-    return reps
-
-
-def _real_monic_from_roots(reps, what):
-    h = np.atleast_1d(np.poly(np.array(reps, dtype=np.complex128)))[::-1]
-    scale = np.abs(h).max()
-    if np.abs(h.imag).max() > 1e-6 * scale:
-        raise SplitFailed("%s did not come out real; root pairing was inconsistent" % what)
-    return h.real
-
-
-def _polyval(u, s):
-    return np.polynomial.polynomial.polyval(s, u)
-
-
-def _split_coupling(wn, wd):
-    """Factor v = -wn/wd as kappa * h(s)h(-s) / (hd(s)hd(-s)) with h, hd real monic.
-
-    Returns (b, c, kappa) with b = sqrt(kappa) h / hd and c(s) = -b(-s).
-    """
-    lc = wd[-1]
-    vn = _force_real_even(-wn / lc, "coupling numerator")
-    vd = _force_real_even(wd / lc, "coupling denominator")
-    vn = _trim(vn, 1e-12 * max(np.abs(vn).max(), 1e-300))
-
-    num_roots = _roots(vn)
-    den_roots = _roots(vd)
-    # cancel shared roots so a non-reduced coupling fraction cannot skew pairing
-    num_pool = num_roots.tolist()
-    kept_den = []
-    for r in den_roots.tolist():
-        hit = _pop_closest(num_pool, r, ROOT_MATCH_RTOL * (1.0 + abs(r)))
-        if hit is None:
-            kept_den.append(r)
-    num_pool_arr = np.array(num_pool, dtype=np.complex128)
-    den_pool_arr = np.array(kept_den, dtype=np.complex128)
-
-    h = _real_monic_from_roots(
-        _half_roots(num_pool_arr, "coupling numerator"), "stable numerator factor"
-    )
-    hd = _real_monic_from_roots(
-        _half_roots(den_pool_arr, "coupling denominator"), "stable denominator factor"
-    )
-
-    kappa = _coupling_constant(vn, vd, h, hd, num_roots, den_roots)
-    sk = float(np.sqrt(kappa))
-    b = RationalMatrixFunction(_poly1(sk * h), _poly1(hd)).normalize()
-    cn = _negate_argument(sk * h) * -1.0
-    cd = _negate_argument(hd)
-    c = RationalMatrixFunction(_poly1(cn), _poly1(cd)).normalize()
-    return b, c, kappa
-
-
-def _coupling_constant(vn, vd, h, hd, num_roots, den_roots):
-    all_roots = np.concatenate([num_roots, den_roots]) if len(num_roots) + len(den_roots) else np.zeros(0)
-    candidates = [
-        0.83 + 0.47j, 1.37 + 0.21j, 0.59 + 1.03j, 1.91 + 0.83j,
-        0.31 + 0.67j, 2.43 + 1.19j, 0.97 + 1.51j, 1.13 + 0.09j,
-    ]
-    values = []
-    for s0 in candidates:
-        if len(all_roots):
-            gap = min(
-                float(np.abs(all_roots - s0).min()),
-                float(np.abs(all_roots + s0).min()),
-            )
-            if gap < 0.05 * (1.0 + abs(s0)):
-                continue
-        denom = _polyval(vd, s0) * _polyval(h, s0) * _polyval(h, -s0)
-        if abs(denom) < 1e-12:
-            continue
-        values.append(_polyval(vn, s0) * _polyval(hd, s0) * _polyval(hd, -s0) / denom)
-        if len(values) == 3:
-            break
-    if not values:
-        raise SplitFailed("no usable sample point for the coupling constant")
-    values = np.array(values)
-    spread = float(np.abs(values - values[0]).max())
-    if spread > 1e-6 * (1.0 + float(np.abs(values[0]))):
-        raise SplitFailed("coupling constant is not constant across sample points")
-    kappa = values[0]
-    if abs(kappa.imag) > 1e-6 * abs(kappa) or kappa.real <= 0.0:
+    v = _force_real_even(v, "coupling numerator")
+    u = _trim(v[0::2], 1e-12 * np.abs(v).max())
+    roots = np.roots(u[::-1]).astype(np.complex128)
+    r = -np.sqrt(roots)
+    # a negative root of U is a zero pair of v on the imaginary axis, of even
+    # multiplicity when v keeps its sign there; when the roots come out real
+    # rather than as a conjugate pair, alternate the sign of their square roots
+    axis = np.flatnonzero((roots.imag == 0) & (roots.real < 0))
+    flip = axis[np.argsort(roots[axis].real)][1::2]
+    r[flip] = r[flip].conj()
+    h = np.atleast_1d(np.poly(r))[::-1]
+    if np.abs(h.imag).max() > SPLIT_STRUCTURE_RTOL * np.abs(h).max():
+        raise SplitFailed("stable numerator factor did not come out real")
+    kappa = (-1) ** (len(u) - 1) * u[-1]
+    if kappa <= 0.0:
         raise SplitFailed(
             "coupling constant %r is not positive; input is likely not positive-real" % kappa
         )
-    return float(kappa.real)
+    return h.real, float(kappa)
 
 
 def realize_1d(f):
@@ -312,38 +180,45 @@ def realize_1d(f):
     qt1 = pieces.q1.scale_variables([1j])
     qt2 = pieces.q2.scale_variables([1j]).scaled(-1j)
 
-    one = MatrixPoly.constant(1, 1.0)
-    zero_fn = RationalMatrixFunction(MatrixPoly.zero(1, 1), one)
+    def zero_over(den):
+        return RationalMatrixFunction(MatrixPoly.zero(1, 1), den)
 
     if pieces.q1.is_zero():
         if pieces.p1.is_zero():
+            zero = zero_over(source.den)
             real = LFTRealization(
-                "lossless-trivial", source, zero_fn, zero_fn, zero_fn,
-                None, None, source,
+                "lossless-trivial", source, zero, zero, zero, None, None, source,
             )
         else:
             a = RationalMatrixFunction(pt2, qt2).normalize()
             residual = RationalMatrixFunction(pt1, qt2).normalize()
+            zero = zero_over(a.den)
             real = LFTRealization(
-                "affine-residual", a, zero_fn, zero_fn, zero_fn,
-                None, residual, source,
+                "affine-residual", a, zero, zero, zero, None, residual, source,
             )
     else:
         a = RationalMatrixFunction(pt1, qt1).normalize()
         dvar = RationalMatrixFunction(qt2, qt1).normalize()
+        den = a.den  # qt1 / lead(qt1): only imaginary-axis zeros
+        n = den.total_degree()
         wn_poly = pt1 * qt2 - pt2 * qt1
-        wd_poly = qt1 * qt1
         w_scale = max(
             pt1.max_coeff_magnitude() * qt2.max_coeff_magnitude(),
             pt2.max_coeff_magnitude() * qt1.max_coeff_magnitude(),
             1.0,
         )
         if wn_poly.max_coeff_magnitude() <= 1e-13 * w_scale:
-            b, c, kappa = zero_fn, zero_fn, 0.0
+            b = c = zero_over(den)
+            kappa = 0.0
         else:
-            b, c, kappa = _split_coupling(_coeffs(wn_poly), _coeffs(wd_poly))
-            made = RationalMatrixFunction(b.num * c.num, b.den * c.den)
-            wanted = RationalMatrixFunction(wn_poly, wd_poly)
+            # b c = wn / qt1^2 = (-1)^(n+1) kappa h(s) h(-s) / den^2
+            lead = complex(qt1.leading_coefficient()[1][0, 0])
+            h, kappa = _split_coupling((-1) ** (n + 1) * _coeffs(wn_poly) / lead**2)
+            sk = np.sqrt(kappa)
+            b = RationalMatrixFunction(_poly1(sk * h), den)
+            c = RationalMatrixFunction(_poly1((-1) ** (n + 1) * sk * _negate_argument(h)), den)
+            made = RationalMatrixFunction(b.num * c.num, den * den)
+            wanted = RationalMatrixFunction(wn_poly, qt1 * qt1)
             if not identity_equal(made, wanted, SPLIT_IDENTITY_RTOL):
                 raise SplitFailed("factored coupling does not reproduce b*c")
         real = LFTRealization("lft", a, b, c, dvar, kappa, None, source)

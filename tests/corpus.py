@@ -1,6 +1,7 @@
 """Shared fixtures: a catalogue of upper-half-plane functions with known
-class membership, and pairs of real polynomials with known stability of
-their combined/pencil/member readings.
+class membership, pairs of real polynomials with known stability of
+their combined/pencil/member readings, and seeded RLC ladders, whose
+impedances are positive-real.
 
 Everything here is deterministic; seeded items draw from their own
 generator so order of use cannot change them.
@@ -178,4 +179,50 @@ def pair_cases():
         sp(2, {(0, 0): 1.0}), False)
     add("product3", sp(3, {(1, 1, 1): 1.0}), sp(3, {(0, 0, 0): 1.0}), False)
 
+    return cases
+
+
+@dataclass(frozen=True)
+class Ladder:
+    """A lossy RLC ladder closed on a load resistor, read from the input.
+
+    Branch k is (resistive, reactive): a series impedance r + s l for even
+    k, a shunt admittance g + s c for odd k.  The order is the number of
+    reactive elements; every such ladder is positive-real.
+    """
+
+    branches: tuple
+    load: float
+
+    def impedance(self, s):
+        """The input impedance at the points s, by the continued fraction."""
+        z = np.full(np.shape(s), self.load, dtype=np.complex128)
+        for k in reversed(range(len(self.branches))):
+            res, rea = self.branches[k]
+            z = z + (res + s * rea) if k % 2 == 0 else z / (1.0 + (res + s * rea) * z)
+        return z
+
+    def function(self):
+        """The same impedance as one rational function num / den."""
+        pp = np.polynomial.polynomial
+        num, den = np.array([self.load]), np.array([1.0])
+        for k in reversed(range(len(self.branches))):
+            if k % 2 == 0:
+                num = pp.polyadd(num, pp.polymul(self.branches[k], den))
+            else:
+                den = pp.polyadd(den, pp.polymul(self.branches[k], num))
+        return rmf(sp(1, {(k,): c for k, c in enumerate(num)}),
+                   sp(1, {(k,): c for k, c in enumerate(den)}))
+
+
+def ladder_cases(seed, orders, per_order):
+    """per_order seeded ladders of each order: reactive values log-uniform
+    in [0.5, 2], resistive ones a fifth of that, load in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for order in orders:
+        for _ in range(per_order):
+            vals = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (order + 1, 2)))
+            vals[:, 0] *= 0.2
+            cases.append(Ladder(tuple(map(tuple, vals[:order].tolist())), float(vals[order, 1])))
     return cases

@@ -27,7 +27,7 @@ from darlington import (
     save_function,
 )
 from darlington.cli import main
-from corpus import herglotz_cases, pair_cases
+from corpus import herglotz_cases, ladder_cases, pair_cases
 
 SEED = 0xDA71
 MODULE_T0 = time.monotonic()
@@ -193,6 +193,30 @@ def test_criterion_07_classical_realization():
         assert check_positive_real(block).verdict == "pass"
         assert check_cayley_inner(rotate_to_nevanlinna(block)).verdict == "pass"
     done(7, "one-variable realization, closure at 1e-9 and lossless block")
+
+
+def test_criterion_07_seeded_ladders():
+    t0 = time.monotonic()
+    pts = np.array([0.3 + 0.7j, 1.1 - 2.0j, 2.5 + 0.1j, 0.05 + 5.0j])
+    axis = np.array([0.37j, -1.3j, 2.9j, 7.1j])
+    ladders = ladder_cases(SEED, range(1, 17), 3)
+    for lad in ladders:
+        label = "order %d ladder %r" % (len(lad.branches), lad)
+        real = realize_1d(lad.function())
+        closure = real.closure()
+        assert identity_equal(closure, real.source, rtol=1e-7), label
+        got, ok = closure.eval_many(pts[:, None])
+        want = lad.impedance(pts)
+        assert ok.all(), label
+        assert np.all(np.abs(got[:, 0, 0] - want) <= 1e-6 * np.abs(want)), label
+        block = real.block()
+        assert check_positive_real(block).verdict == "pass", label
+        # lossless: the Hermitian part vanishes on the imaginary axis
+        vals, ok = block.eval_many(axis[:, None])
+        herm = vals[ok] + np.conj(np.swapaxes(vals[ok], 1, 2))
+        assert np.abs(herm).max() <= 1e-10 * np.abs(vals[ok]).max(), label
+    budget(t0, 3.0, "seeded ladders")
+    done(7, "%d seeded ladders of orders 1-16 realized, exact and lossless" % len(ladders))
 
 
 def test_criterion_08_double_cayley_contractive():

@@ -429,6 +429,15 @@ def test_sample_config_shapes():
     assert upper_points(lean, rng, 1).shape == (40, 1)
 
 
+def test_right_points_are_upper_points_turned():
+    from darlington.checks import right_points, upper_points
+
+    for cfg in (SampleConfig(seed=7, count=25), SampleConfig(seed=8, include_edge_points=False)):
+        right = right_points(cfg, np.random.default_rng(cfg.seed), 2)
+        upper = upper_points(cfg, np.random.default_rng(cfg.seed), 2)
+        np.testing.assert_array_equal(right, -1j * upper)
+
+
 def test_tolerances_loosen_verdicts():
     # a slightly sunk imaginary part (below the 1e-6 minimum sample height)
     # passes once the slack covers it

@@ -251,10 +251,32 @@ def test_realize1d_rejects_matrix_input(tmp_path, capsys):
 
 
 def test_realize1d_rejects_non_positive_real(tmp_path, capsys):
+    import numpy as np
+
     f = RationalMatrixFunction(sp(1, {(0,): -1.0}), sp(1, {(1,): 1.0, (0,): 1.0}))
     path = write(tmp_path, "negated.json", f, "positive-real")
-    code, _ = run(capsys, ["realize1d", path] + FAST)
+    code, doc = run(capsys, ["realize1d", path] + FAST)
     assert code == 5
+    assert doc["verdicts"] == {"positive-real": "fail", "reconstruction": "fail"}
+    assert doc["witnesses"]["reconstruction"]["cause"] == "input"
+    witness = doc["witnesses"]["positive-real"]["witness"]
+    s = complex(*witness["point"][0])
+    value = f.eval(np.array([s]))[0, 0]
+    assert value.real < 0.0 and value.real == pytest.approx(witness["min_eig"])
+
+
+def test_realize1d_blames_itself_on_positive_real_input(pr_simple, capsys, monkeypatch):
+    import darlington.cli as cli
+    from darlington import SplitFailed
+
+    def refuse(f):
+        raise SplitFailed("refused")
+
+    monkeypatch.setattr(cli, "realize_1d", refuse)
+    code, doc = run(capsys, ["realize1d", pr_simple] + FAST)
+    assert code == 4
+    assert doc["verdicts"] == {"positive-real": "pass", "reconstruction": "fail"}
+    assert doc["witnesses"]["reconstruction"] == {"split_failed": "refused", "cause": "library"}
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from darlington import (
     lift,
     realize_1d,
     restrict_at_i,
+    rotate_to_nevanlinna,
     rotate_to_positive_real,
 )
 from corpus import herglotz_cases
@@ -168,6 +169,27 @@ def test_realize_block_is_positive_real():
     real = realize_1d(pr({(2,): 1.0, (1,): 1.0, (0,): 1.0}, {(2,): 1.0, (1,): 2.0, (0,): 1.0}))
     rep = check_positive_real(real.block())
     assert rep.verdict == "pass", rep.witness
+
+
+def test_realize_entries_share_one_denominator():
+    # the block is over a.den = qt1 / lead(qt1), not a product of four denominators
+    real = realize_1d(pr({(2,): 1.0, (1,): 1.0, (0,): 1.0}, {(2,): 1.0, (1,): 2.0, (0,): 1.0}))
+    for g in (real.b, real.c, real.d):
+        assert g.den == real.a.den
+    qt1 = decompose(rotate_to_nevanlinna(real.source)).q1
+    assert real.block().den.total_degree() == qt1.total_degree() == 1
+    assert identity_equal(real.block().compress(np.array([1.0, 0.0])), real.a)
+
+
+def test_realize_imaginary_axis_transmission_zero():
+    # (s^2+1)/(s^2+s+1) has Re f(i) = 0: the coupling numerator has a double
+    # root pair on the imaginary axis, which h must take once as +-i
+    real = realize_1d(pr({(2,): 1.0, (0,): 1.0}, {(2,): 1.0, (1,): 1.0, (0,): 1.0}))
+    assert real.variant == "lft"
+    assert real.kappa == pytest.approx(1.0)
+    assert identity_equal(real.b, pr({(2,): 1.0, (0,): 1.0}, {(1,): 1.0}), rtol=1e-9)
+    assert identity_equal(real.closure(), real.source, rtol=1e-7)
+    assert check_positive_real(real.block()).verdict == "pass"
 
 
 def test_realize_lossless_input_is_trivial():
