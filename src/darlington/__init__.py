@@ -41,7 +41,6 @@ from .rational import (
     NearPole,
     RationalMatrixFunction,
     coprime_probe,
-    from_entries,
     identity_equal,
     rotate_to_nevanlinna,
     rotate_to_positive_real,
@@ -65,7 +64,6 @@ __all__ = [
     "NearPole",
     "coprime_probe",
     "identity_equal",
-    "from_entries",
     "rotate_to_nevanlinna",
     "rotate_to_positive_real",
     "Decomposition",

@@ -1,16 +1,24 @@
 """Sparse multivariate polynomials with complex matrix coefficients.
 
-A polynomial in d variables with m x m matrix coefficients is stored as a
-map from exponent tuples (length d, non-negative ints) to (m, m) complex
-arrays.  m = 1 covers scalar polynomials; the same type carries both the
-matrix numerators and the scalar denominators used elsewhere.
+A polynomial in d variables with m x m matrix coefficients is a map from
+exponent tuples (length d, non-negative ints) to (m, m) complex arrays.
+m = 1 covers scalar polynomials; the same type carries both the matrix
+numerators and the scalar denominators used elsewhere.
+
+The coefficients live in one read-only (T, m, m) stack, and ``terms`` is a
+read-only mapping from each exponent tuple to its view into that stack.
+The constructor copies the coefficients into a fresh stack and validates it
+in one pass: every coefficient finite, exact-zero terms dropped, no
+exponent tuple twice.  Arithmetic works on whole stacks and is bit-identical
+to adding and multiplying term by term in Python, down to the order of the
+terms and the sign of zero: each pair of terms gives the same matmul or
+broadcast multiply, and products that land on one exponent are added one
+after another in the order they appear, starting from the first.
 
 Terms are kept sparse: a coefficient is dropped only when it is exactly
 zero after arithmetic; nothing is purged by tolerance.  Instances are
-immutable: the coefficient arrays are copied on construction and flagged
-read-only, and ``terms`` is a read-only mapping.  That is what makes the
-evaluation plan safe to cache: it is built on the first evaluation and
-kept for the life of the instance.
+immutable, which is what makes the evaluation plan safe to cache: it is
+built on the first evaluation and kept for the life of the instance.
 
 The canonical term order everywhere (iteration, leading coefficient,
 serialization) is graded lexicographic, highest first.
@@ -18,6 +26,7 @@ serialization) is graded lexicographic, highest first.
 
 from __future__ import annotations
 
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -34,39 +43,91 @@ def _grlex_key(exps):
 
 
 class MatrixPoly:
-    __slots__ = ("d", "m", "terms", "_plan")
+    __slots__ = ("d", "m", "terms", "_coeffs", "_plan")
 
     def __init__(self, d, m, terms):
         if d < 0 or m < 1:
             raise ValueError("need d >= 0 and m >= 1")
-        clean_terms = {}
+        d, m = int(d), int(m)
+        keys = []
+        coeffs = np.empty((len(terms), m, m), dtype=np.complex128)
         for exps, coeff in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != d:
                 raise DimensionMismatch(
                     "exponent tuple %r has length %d, expected %d" % (exps, len(exps), d)
                 )
-            if any(e < 0 for e in exps):
+            if d and min(exps) < 0:
                 raise ValueError("negative exponent in %r" % (exps,))
-            arr = np.array(coeff, dtype=np.complex128)
-            if arr.shape == () and m == 1:
-                arr = arr.reshape(1, 1)
-            if arr.shape != (m, m):
+            shape = () if isinstance(coeff, (int, float, complex)) else np.shape(coeff)
+            # a scalar is a 1 x 1 coefficient; it must not broadcast to a larger one
+            if shape != (m, m) and (shape or m != 1):
                 raise DimensionMismatch(
-                    "coefficient shape %r, expected (%d, %d)" % (arr.shape, m, m)
+                    "coefficient shape %r at %r, expected (%d, %d)" % (shape, exps, m, m)
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite coefficient at %r" % (exps,))
-            if np.count_nonzero(arr) == 0:
-                continue
-            if exps in clean_terms:
-                raise ValueError("duplicate exponent tuple %r" % (exps,))
-            arr.flags.writeable = False
-            clean_terms[exps] = arr
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "terms", MappingProxyType(clean_terms))
+            coeffs[len(keys)] = coeff
+            keys.append(exps)
+        self._freeze(d, m, keys, coeffs, distinct=False)
+
+    @classmethod
+    def _from_stack(cls, d, m, keys, coeffs):
+        """The polynomial with terms ``keys[i] -> coeffs[i]``; the keys are
+        distinct, and ``coeffs`` is a (T, m, m) complex array that nothing
+        else writes to."""
+        p = object.__new__(cls)
+        p._freeze(d, m, keys, coeffs)
+        return p
+
+    def _freeze(self, d, m, keys, coeffs, distinct=True):
+        """The single validation pass over the stack, then the read-only slots."""
+        # count_nonzero over the whole stack is the cheap test; the per-term
+        # reductions run only when it finds something
+        flat = coeffs.reshape(len(keys), m * m)
+        finite = np.isfinite(flat)
+        if np.count_nonzero(finite) < finite.size:
+            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError("non-finite coefficient at %r" % (keys[bad],))
+        if np.count_nonzero(flat) < flat.size:
+            nonzero = flat.any(axis=1)
+            keys = list(compress(keys, nonzero.tolist()))
+            coeffs = coeffs[nonzero]
+        if not distinct and len(set(keys)) < len(keys):
+            seen = set()
+            for exps in keys:
+                if exps in seen:
+                    raise ValueError("duplicate exponent tuple %r" % (exps,))
+                seen.add(exps)
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", MappingProxyType(dict(zip(keys, coeffs))))
+        object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_plan", None)
+
+    @classmethod
+    def _collect(cls, d, m, keys, values):
+        """The polynomial whose coefficient at e is the sum of the values[i]
+        with keys[i] == e.  Exponents keep the order in which they first
+        appear; each sum starts from its first value and adds the others one
+        at a time, in order (``np.add.at`` is unbuffered and goes in index
+        order)."""
+        index, first, rest, rest_group = {}, [], [], []
+        for i, exps in enumerate(keys):
+            g = index.setdefault(exps, len(first))
+            if g == len(first):
+                first.append(i)
+            else:
+                rest.append(i)
+                rest_group.append(g)
+        if not rest:
+            return cls._from_stack(d, m, keys, values)
+        out = values[first]
+        slots = np.array(rest_group)
+        if m > 1:
+            # add.at over a flat array: per-index (m, m) blocks take its slow path
+            slots = (slots[:, None] * (m * m) + np.arange(m * m)).ravel()
+        np.add.at(out.reshape(-1), slots, values[rest].reshape(-1))
+        return cls._from_stack(d, m, list(index), out)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
@@ -100,7 +161,7 @@ class MatrixPoly:
 
     @classmethod
     def from_scalar_terms(cls, d, coeffs):
-        return cls(d, 1, {e: np.array([[c]]) for e, c in coeffs.items()})
+        return cls(d, 1, coeffs)
 
     # ------------------------------------------------------------------
     # inspection
@@ -108,9 +169,19 @@ class MatrixPoly:
     def is_zero(self):
         return not self.terms
 
+    def _grlex_order(self):
+        """Rows of the coefficient stack in graded-lex order, highest first."""
+        keys = list(self.terms)
+        return sorted(range(len(keys)), key=lambda i: _grlex_key(keys[i]), reverse=True)
+
+    def _exponents(self):
+        """The exponent tuples as a (T, d) integer array, rows in stack order."""
+        return np.array(list(self.terms), dtype=np.int64).reshape(len(self.terms), self.d)
+
     def ordered_terms(self):
         """Terms as (exponents, coefficient) pairs, graded-lex highest first."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_grlex_key, reverse=True)]
+        keys = list(self.terms)
+        return [(keys[i], self._coeffs[i]) for i in self._grlex_order()]
 
     def leading_coefficient(self):
         """First (graded-lex highest) nonzero coefficient; entry [0,0] for scalars."""
@@ -122,7 +193,7 @@ class MatrixPoly:
     def max_coeff_magnitude(self):
         if self.is_zero():
             return 0.0
-        return max(float(np.abs(a).max()) for a in self.terms.values())
+        return float(np.abs(self._coeffs).max())
 
     def total_degree(self):
         if self.is_zero():
@@ -131,7 +202,8 @@ class MatrixPoly:
 
     def entry(self, i, j):
         """Scalar polynomial made of the (i, j) entry of every coefficient."""
-        return MatrixPoly(self.d, 1, {e: a[i, j] for e, a in self.terms.items()})
+        return MatrixPoly._from_stack(self.d, 1, list(self.terms),
+                                      self._coeffs[:, i, j].reshape(-1, 1, 1))
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -146,13 +218,24 @@ class MatrixPoly:
         self._check_compat(other)
         if self.m != other.m:
             raise DimensionMismatch("matrix sizes differ: %d vs %d" % (self.m, other.m))
-        out = {e: a for e, a in self.terms.items()}
-        for e, a in other.terms.items():
-            out[e] = out[e] + a if e in out else a
-        return MatrixPoly(self.d, self.m, out)
+        row = {e: i for i, e in enumerate(self.terms)}
+        keys = list(self.terms)
+        mine, theirs, new = [], [], []
+        for j, e in enumerate(other.terms):
+            i = row.get(e)
+            if i is None:
+                new.append(j)
+                keys.append(e)
+            else:
+                mine.append(i)
+                theirs.append(j)
+        coeffs = np.concatenate((self._coeffs, other._coeffs[new]))
+        if mine:
+            coeffs[mine] += other._coeffs[theirs]
+        return MatrixPoly._from_stack(self.d, self.m, keys, coeffs)
 
     def __neg__(self):
-        return MatrixPoly(self.d, self.m, {e: -a for e, a in self.terms.items()})
+        return MatrixPoly._from_stack(self.d, self.m, list(self.terms), -self._coeffs)
 
     def __sub__(self, other):
         if not isinstance(other, MatrixPoly):
@@ -169,18 +252,12 @@ class MatrixPoly:
         if self.m != other.m and 1 not in (self.m, other.m):
             raise DimensionMismatch("matrix sizes differ: %d vs %d" % (self.m, other.m))
         m = max(self.m, other.m)
-        out = {}
-        for e1, a1 in self.terms.items():
-            for e2, a2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if self.m == other.m:
-                    prod = a1 @ a2
-                elif self.m == 1:
-                    prod = a1[0, 0] * a2
-                else:
-                    prod = a1 * a2[0, 0]
-                out[e] = out[e] + prod if e in out else prod
-        return MatrixPoly(self.d, m, out)
+        left, right = self._coeffs[:, None], other._coeffs[None, :]
+        prods = np.matmul(left, right) if self.m == other.m else left * right
+        sums = self._exponents()[:, None] + other._exponents()[None, :]
+        sums = sums.reshape(len(self.terms) * len(other.terms), self.d)
+        keys = list(map(tuple, sums.tolist()))
+        return MatrixPoly._collect(self.d, m, keys, prods.reshape(-1, m, m))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -188,8 +265,8 @@ class MatrixPoly:
         return NotImplemented
 
     def scaled(self, c):
-        c = complex(c)
-        return MatrixPoly(self.d, self.m, {e: a * c for e, a in self.terms.items()})
+        return MatrixPoly._from_stack(self.d, self.m, list(self.terms),
+                                      self._coeffs * complex(c))
 
     # ------------------------------------------------------------------
     # evaluation
@@ -208,15 +285,13 @@ class MatrixPoly:
         of its exponent in ``ks``.
         """
         if self._plan is None:
-            ordered = self.ordered_terms()
-            exps = np.array([e for e, _ in ordered], dtype=np.int64).reshape(len(ordered), self.d)
-            coeffs = np.array([a for _, a in ordered], dtype=np.complex128)
-            coeffs = coeffs.reshape(len(ordered), self.m, self.m)
+            order = self._grlex_order()
+            exps = self._exponents()[order]
             powers = []
             for k in range(self.d):
                 ks, inv = np.unique(exps[:, k], return_inverse=True)
                 powers.append((ks.astype(np.complex128)[:, None], inv))
-            object.__setattr__(self, "_plan", (coeffs, tuple(powers)))
+            object.__setattr__(self, "_plan", (self._coeffs[order], tuple(powers)))
         return self._plan
 
     def _factors(self, Z):
@@ -274,45 +349,49 @@ class MatrixPoly:
         Fixed points are exactly the polynomials with Hermitian coefficients;
         they take Hermitian values on real points.
         """
-        return MatrixPoly(self.d, self.m, {e: a.conj().T for e, a in self.terms.items()})
+        return MatrixPoly._from_stack(self.d, self.m, list(self.terms),
+                                      self._coeffs.conj().transpose(0, 2, 1).copy())
 
     def has_hermitian_coeffs(self):
         """Exact comparison of stored values (no tolerance)."""
-        return all(np.array_equal(a, a.conj().T) for a in self.terms.values())
+        return np.array_equal(self._coeffs, self._coeffs.conj().transpose(0, 2, 1))
 
     def has_real_coeffs(self):
         """Exact comparison of stored values (no tolerance)."""
-        return all(np.all(a.imag == 0.0) for a in self.terms.values())
+        return bool(np.all(self._coeffs.imag == 0.0))
 
     def substitute_last(self, c):
         """Substitute the constant c for the last variable; drops to d-1 variables."""
         if self.d < 1:
             raise DimensionMismatch("no variable to substitute in a 0-variable polynomial")
         c = complex(c)
-        out = {}
-        for e, a in self.ordered_terms():
-            base = e[:-1]
-            coeff = a * (c ** e[-1] if e[-1] else 1.0)
-            out[base] = out[base] + coeff if base in out else coeff
-        return MatrixPoly(self.d - 1, self.m, out)
+        keys = list(self.terms)
+        order = self._grlex_order()
+        powers = np.array([c ** keys[i][-1] if keys[i][-1] else 1.0 for i in order],
+                          dtype=np.complex128)
+        values = self._coeffs[order] * powers[:, None, None]
+        return MatrixPoly._collect(self.d - 1, self.m, [keys[i][:-1] for i in order], values)
 
     def scale_variables(self, factors):
         """Substitute z_k -> factors[k] * z_k; coefficients pick up prod factors[k]**e_k."""
         factors = [complex(f) for f in factors]
         if len(factors) != self.d:
             raise DimensionMismatch("expected %d scale factors, got %d" % (self.d, len(factors)))
-        out = {}
-        for e, a in self.terms.items():
+        mults = []
+        for e in self.terms:
             mult = 1.0 + 0j
             for f, ek in zip(factors, e):
                 if ek:
                     mult *= f ** ek
-            out[e] = a * mult
-        return MatrixPoly(self.d, self.m, out)
+            mults.append(mult)
+        mults = np.array(mults, dtype=np.complex128)
+        return MatrixPoly._from_stack(self.d, self.m, list(self.terms),
+                                      self._coeffs * mults[:, None, None])
 
     def append_variable(self):
         """Reinterpret in d+1 variables; the new last variable does not occur."""
-        return MatrixPoly(self.d + 1, self.m, {e + (0,): a for e, a in self.terms.items()})
+        return MatrixPoly._from_stack(self.d + 1, self.m, [e + (0,) for e in self.terms],
+                                      self._coeffs)
 
     def differentiate(self, k):
         """Partial derivative with respect to variable k (0-based)."""

@@ -21,7 +21,6 @@ __all__ = [
     "CoprimeVerdict",
     "identity_equal",
     "coprime_probe",
-    "from_entries",
     "rotate_to_nevanlinna",
     "rotate_to_positive_real",
 ]
@@ -133,38 +132,6 @@ def identity_equal(f, h, rtol=IDENTITY_RTOL):
     )
     diff = f.num * h.den - h.num * f.den
     return diff.max_coeff_magnitude() <= rtol * scale
-
-
-def from_entries(entries):
-    """Assemble an m x m rational function from scalar entries.
-
-    The common denominator is the product of all entry denominators (no
-    reduction is attempted).
-    """
-    m = len(entries)
-    if any(len(row) != m for row in entries):
-        raise ValueError("entries must form a square array")
-    d = entries[0][0].d
-    for row in entries:
-        for g in row:
-            if g.d != d or g.m != 1:
-                raise DimensionMismatch("entries must be scalar functions in %d variables" % d)
-    den = MatrixPoly.constant(d, 1.0)
-    for row in entries:
-        for g in row:
-            den = den * g.den
-    num = MatrixPoly.zero(d, m)
-    for i in range(m):
-        for j in range(m):
-            cofactor = MatrixPoly.constant(d, 1.0)
-            for a in range(m):
-                for b in range(m):
-                    if (a, b) != (i, j):
-                        cofactor = cofactor * entries[a][b].den
-            basis = np.zeros((m, m))
-            basis[i, j] = 1.0
-            num = num + (entries[i][j].num * cofactor) * MatrixPoly.constant(d, basis)
-    return RationalMatrixFunction(num, den)
 
 
 # ----------------------------------------------------------------------
@@ -324,12 +291,8 @@ def coprime_probe(f, lines=8, seed=0xDA71):
     def draw_vec():
         return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
-    scalarizations = [
-        num.entry(i, j)
-        for i in range(f.m)
-        for j in range(f.m)
-        if not num.entry(i, j).is_zero()
-    ]
+    entries = (num.entry(i, j) for i in range(f.m) for j in range(f.m))
+    scalarizations = [s for s in entries if not s.is_zero()]
     if not scalarizations:
         scalarizations = [MatrixPoly.zero(d, 1)]
     else:

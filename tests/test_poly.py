@@ -64,6 +64,35 @@ def test_rejects_nonfinite():
         MatrixPoly(1, 1, {(0,): np.array([[np.inf]])})
 
 
+@pytest.mark.parametrize("m, bad_exps, bad_coeff, error, message", [
+    (2, (3, 1), np.array([[1.0, np.nan], [0.0, 1.0]]), ValueError, "non-finite coefficient at"),
+    (2, (3, 1), np.eye(3), DimensionMismatch, "coefficient shape (3, 3) at"),
+    (2, (3, 1), 2.5, DimensionMismatch, "coefficient shape () at"),
+    (1, (3, -1), 1.0, ValueError, "negative exponent in"),
+    (1, (3, 1, 0), 1.0, DimensionMismatch, "exponent tuple"),
+])
+def test_bad_term_among_many_is_named(m, bad_exps, bad_coeff, error, message):
+    # the stack is validated in one pass, but the error still names the term
+    terms = {(k, 0): np.full((m, m), k + 1.0) for k in range(6)}
+    terms[bad_exps] = bad_coeff
+    terms.update({(0, k + 1): np.full((m, m), -1.0) for k in range(6)})
+    with pytest.raises(error) as info:
+        MatrixPoly(2, m, terms)
+    assert message in str(info.value)
+    assert repr(bad_exps) in str(info.value)
+
+
+def test_rejects_exponents_that_coincide_as_integers():
+    with pytest.raises(ValueError, match=r"duplicate exponent tuple \(1,\)"):
+        MatrixPoly(1, 1, {(1.5,): 2.0, (1,): 3.0})
+
+
+def test_accepts_mixed_scalar_and_1x1_coefficients():
+    p = MatrixPoly(1, 1, {(2,): 2.0, (1,): np.array([[3j]]), (0,): np.complex128(-1.0)})
+    assert list(p.terms) == [(2,), (1,), (0,)]
+    assert [complex(a[0, 0]) for a in p.terms.values()] == [2.0, 3j, -1.0]
+
+
 def test_accepts_transposed_view_coefficients():
     # non-contiguous arrays (conj().T views) must not trip validation
     a = (np.arange(4.0).reshape(2, 2) + 1j).conj().T
@@ -171,6 +200,95 @@ def test_evaluate_many_is_bit_identical_to_term_loop(d, m):
                                       term_loop_evaluate_many(p, Z).view(np.uint64))
 
 
+# The term loops that the stack arithmetic replaced, kept as its bitwise
+# reference.  Each returns the term dict that the old constructor received;
+# the constructor then dropped exact-zero terms.
+
+def term_loop_mul(p, q):
+    out = {}
+    for e1, a1 in p.terms.items():
+        for e2, a2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if p.m == q.m:
+                prod = a1 @ a2
+            elif p.m == 1:
+                prod = a1[0, 0] * a2
+            else:
+                prod = a1 * a2[0, 0]
+            out[e] = out[e] + prod if e in out else prod
+    return out
+
+
+def term_loop_add(p, q):
+    out = {e: a for e, a in p.terms.items()}
+    for e, a in q.terms.items():
+        out[e] = out[e] + a if e in out else a
+    return out
+
+
+def term_loop_scaled(p, c):
+    c = complex(c)
+    return {e: a * c for e, a in p.terms.items()}
+
+
+def term_loop_substitute_last(p, c):
+    c = complex(c)
+    out = {}
+    for e, a in p.ordered_terms():
+        base = e[:-1]
+        coeff = a * (c ** e[-1] if e[-1] else 1.0)
+        out[base] = out[base] + coeff if base in out else coeff
+    return out
+
+
+def assert_same_terms(got, ref_terms):
+    """Same term order and the same coefficient bytes, signs of zero included."""
+    ref = {e: a for e, a in ref_terms.items() if np.count_nonzero(a)}
+    assert list(got.terms) == list(ref)
+    for e, a in ref.items():
+        assert got.terms[e].tobytes() == np.asarray(a, dtype=np.complex128).tobytes()
+
+
+def signed_zero_poly(rng, d, m, nterms, max_deg=2):
+    """Small-integer coefficients, so that sums cancel to exact zeros, with
+    +0.0 and -0.0 in both parts and some non-integer entries."""
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(int(x) for x in rng.integers(0, max_deg + 1, size=d))
+        re = rng.integers(-2, 3, (m, m)).astype(float)
+        im = rng.integers(-2, 3, (m, m)).astype(float)
+        re[rng.random((m, m)) < 0.3] = -0.0
+        im[rng.random((m, m)) < 0.3] = -0.0
+        im[rng.random((m, m)) < 0.2] = rng.standard_normal()
+        terms[e] = re + 1j * im
+    return MatrixPoly(d, m, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_stack_arithmetic_is_bit_identical_to_term_loops(d, m):
+    rng = np.random.default_rng([d, m, 21])
+    polys = [MatrixPoly.zero(d, m), MatrixPoly.zero(d, 1)]
+    for nterms in (1, 3, 8):
+        polys += [signed_zero_poly(rng, d, m, nterms), signed_zero_poly(rng, d, 1, nterms),
+                  rand_poly(rng, d, m, nterms=nterms, max_deg=2)]
+    p = signed_zero_poly(rng, d, m, 5)
+    polys += [p, -p, p.bar_reflect()]   # p + (-p) cancels to the zero polynomial
+    if d:
+        x, one = MatrixPoly.variable(d, 0), MatrixPoly.constant(d, 1.0)
+        polys += [x + one, x - one]     # (x + 1)(x - 1) cancels the x term exactly
+    for a in polys:
+        for b in polys:
+            if a.m == b.m or 1 in (a.m, b.m):   # scalar x matrix in both orders
+                assert_same_terms(a * b, term_loop_mul(a, b))
+            if a.m == b.m:
+                assert_same_terms(a + b, term_loop_add(a, b))
+        for c in (2.5, -0.0, 0.0, 1j, complex(rng.standard_normal(), rng.standard_normal())):
+            assert_same_terms(a.scaled(c), term_loop_scaled(a, c))
+            if d:
+                assert_same_terms(a.substitute_last(c), term_loop_substitute_last(a, c))
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
 def test_monomial_partials_match_differentiate(d):
     rng = np.random.default_rng([d, 11])
@@ -199,9 +317,9 @@ def test_evaluate_wraps_evaluate_many():
 
 def test_evaluation_plan_is_built_once(monkeypatch):
     calls = []
-    ordered_terms = MatrixPoly.ordered_terms
-    monkeypatch.setattr(MatrixPoly, "ordered_terms",
-                        lambda self: calls.append(self) or ordered_terms(self))
+    grlex_order = MatrixPoly._grlex_order
+    monkeypatch.setattr(MatrixPoly, "_grlex_order",
+                        lambda self: calls.append(self) or grlex_order(self))
     rng = np.random.default_rng(9)
     p, q = rand_poly(rng, 2, 2), rand_poly(rng, 2, 2)
     Z = rng.standard_normal((4, 2)) + 1j

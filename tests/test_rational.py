@@ -9,7 +9,6 @@ from darlington import (
     NearPole,
     RationalMatrixFunction,
     coprime_probe,
-    from_entries,
     identity_equal,
     rotate_to_nevanlinna,
     rotate_to_positive_real,
@@ -82,27 +81,6 @@ def test_compress_matches_pointwise():
     np.testing.assert_allclose(
         g.eval(z)[0, 0], eta @ f.eval(z) @ eta.conj(), rtol=1e-12
     )
-
-
-def test_from_entries_matches_entrywise():
-    a = RationalMatrixFunction(sp(1, {(1,): 1.0}), sp(1, {(0,): 1.0}))  # z
-    b = RationalMatrixFunction(sp(1, {(0,): -1.0}), sp(1, {(1,): 1.0, (0,): 1j}))  # -1/(z+i)
-    c = RationalMatrixFunction(sp(1, {(0,): 1.0}), sp(1, {(1,): 2.0}))  # 1/(2z)
-    d = RationalMatrixFunction(sp(1, {(2,): 1.0}), sp(1, {(0,): 1.0}))  # z^2
-    f = from_entries([[a, b], [c, d]])
-    assert f.m == 2
-    z = (0.9 + 0.3j,)
-    v = f.eval(z)
-    assert v[0, 0] == pytest.approx(a.eval(z)[0, 0])
-    assert v[0, 1] == pytest.approx(b.eval(z)[0, 0])
-    assert v[1, 0] == pytest.approx(c.eval(z)[0, 0])
-    assert v[1, 1] == pytest.approx(d.eval(z)[0, 0])
-
-
-def test_from_entries_rejects_ragged():
-    a = RationalMatrixFunction(one(1), one(1))
-    with pytest.raises(ValueError):
-        from_entries([[a, a], [a]])
 
 
 def test_rotations_are_inverse_and_map_frames():
