@@ -11,7 +11,7 @@ fail to find one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -80,11 +80,7 @@ class Tolerances:
     den_floor: float = 1e-12
 
     def to_dict(self):
-        return {
-            "psd_slack": self.psd_slack,
-            "reality_slack": self.reality_slack,
-            "den_floor": self.den_floor,
-        }
+        return asdict(self)
 
 
 def _setup(config, tolerances):
@@ -412,13 +408,17 @@ def check_stable(p, config=None, tolerances=None):
     return _hunt([(p, cfg)], tols)[0]
 
 
+def _imag_coeff_excess(p):
+    """The largest imaginary part among p's coefficients, when it exceeds
+    COEFF_REAL_RTOL times the largest coefficient magnitude; 0.0 otherwise."""
+    worst = max((float(np.abs(a.imag).max()) for a in p.terms.values()), default=0.0)
+    return worst if worst > COEFF_REAL_RTOL * max(p.max_coeff_magnitude(), 1e-300) else 0.0
+
+
 def _non_real_report(p, cfg, rng):
     """check_real_stable's failing report when p has non-real coefficients, else None."""
-    scale = p.max_coeff_magnitude()
-    imag_excess = max(
-        (float(np.abs(a.imag).max()) for a in p.terms.values()), default=0.0
-    )
-    if imag_excess <= COEFF_REAL_RTOL * max(scale, 1e-300):
+    imag_excess = _imag_coeff_excess(p)
+    if not imag_excess:
         return None
     # witness: a real point where the imaginary part is re-evaluably large
     pts = real_points(cfg, rng, p.d)
@@ -452,9 +452,7 @@ def _real_scalar_pair(p, q):
     if p.d != q.d:
         raise ValueError("p and q must share the variable count")
     for r, name in ((p, "p"), (q, "q")):
-        scale = max(r.max_coeff_magnitude(), 1e-300)
-        worst = max((float(np.abs(a.imag).max()) for a in r.terms.values()), default=0.0)
-        if worst > COEFF_REAL_RTOL * scale:
+        if _imag_coeff_excess(r):
             raise ValueError("%s must have real coefficients" % name)
     return p, q
 

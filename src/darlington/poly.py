@@ -200,11 +200,6 @@ class MatrixPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def entry(self, i, j):
-        """Scalar polynomial made of the (i, j) entry of every coefficient."""
-        return MatrixPoly._from_stack(self.d, 1, list(self.terms),
-                                      self._coeffs[:, i, j].reshape(-1, 1, 1))
-
     # ------------------------------------------------------------------
     # arithmetic
 

@@ -2,8 +2,9 @@
 
 Fractions are never reduced; equality is the cross-multiplied identity test
 at coefficient tolerance.  Coprimality of numerator and denominator is
-probed probabilistically (random line restrictions + univariate Euclid) and
-only ever reported, never acted on.
+probed probabilistically (restrictions to random lines, by evaluation at
+roots of unity and one FFT, then univariate Euclid on each scalarization, a
+weighting of the matrix value) and only ever reported, never acted on.
 """
 
 from __future__ import annotations
@@ -199,19 +200,14 @@ def _poly_mod(u, v):
     return r
 
 
-def _restrict_to_line(p, a, b):
-    """Coefficients in t of the scalar p on the line z = a + t b."""
-    if p.is_zero():
-        return np.zeros(1, dtype=np.complex128)
-    out = np.zeros(p.total_degree() + 1, dtype=np.complex128)
-    for e, arr in p.ordered_terms():
-        mono = np.ones(1, dtype=np.complex128)
-        for k, ek in enumerate(e):
-            lin = np.array([a[k], b[k]], dtype=np.complex128)
-            for _ in range(ek):
-                mono = np.convolve(mono, lin)
-        out[: len(mono)] += arr[0, 0] * mono
-    return out
+def _line_coeffs(p, a, b, n):
+    """Coefficients in t of p on the line z = a + t b, as an (n, m, m) array.
+
+    p is evaluated at the n-th roots of unity and the values go through one
+    FFT, so the result is exact (up to rounding) when deg p < n.
+    """
+    t = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.fft.fft(p.evaluate_many(a + t[:, None] * b), axis=0) / n
 
 
 # ----------------------------------------------------------------------
@@ -276,60 +272,60 @@ def _gcd_degree(u, v, drop_tol=GCD_DROP_TOL):
 def coprime_probe(f, lines=8, seed=0xDA71):
     """Probe whether numerator and denominator share a polynomial factor.
 
-    Each matrix entry of the numerator (plus one random compression
-    eta * num * eta^*) is restricted together with the denominator to
-    random complex lines; a common factor forces a nontrivial univariate
-    gcd on every line.  The result is evidence, not a certificate:
-    "coprime-probable" when every scalarization has some line with gcd
-    degree 0, "common-factor-found" when every line and scalarization has
-    gcd degree >= 1, otherwise "inconclusive".
+    Each numerator entry that is not identically zero, plus one random
+    compression eta * num * eta^*, is a scalarization: a fixed weighting of
+    the (m, m) numerator value.  Numerator and denominator are restricted to
+    random complex lines by evaluation at roots of unity and one FFT; a
+    common factor forces a nontrivial univariate gcd on every line.  The
+    result is evidence, not a certificate: "coprime-probable" when every
+    scalarization has some line with gcd degree 0, "common-factor-found"
+    when every line and scalarization has gcd degree >= 1, otherwise
+    "inconclusive".
     """
+    if lines < 1:
+        raise ValueError("lines must be at least 1, got %r" % (lines,))
     num, den = f.num, f.den
-    d = f.d
+    d, m = f.d, f.m
     rng = np.random.default_rng(seed)
 
     def draw_vec():
         return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
-    entries = (num.entry(i, j) for i in range(f.m) for j in range(f.m))
-    scalarizations = [s for s in entries if not s.is_zero()]
-    if not scalarizations:
-        scalarizations = [MatrixPoly.zero(d, 1)]
+    # one row per scalarization: its weight on each entry of the (m, m) value
+    if num.is_zero():
+        weights = np.zeros((1, m * m))
     else:
+        stack = np.array(list(num.terms.values()))
+        weights = list(np.eye(m * m)[stack.any(axis=0).ravel()])
         for _ in range(20):
-            eta = rng.standard_normal(f.m) + 1j * rng.standard_normal(f.m)
-            compressed = num.quadratic_form(eta)
-            if not compressed.is_zero():
-                scalarizations.append(compressed)
+            eta = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            if np.any(eta @ stack @ eta.conj()):
+                weights.append(np.outer(eta, eta.conj()).ravel())
                 break
+        weights = np.array(weights)
 
     num_scale = max(num.max_coeff_magnitude(), 1e-300)
     den_scale = max(den.max_coeff_magnitude(), 1e-300)
-    degrees = np.zeros((len(scalarizations), lines), dtype=int)
-    per_line = []
+    den_deg = den.total_degree()
+    n = max(num.total_degree(), den_deg) + 1
+    degrees = np.zeros((len(weights), lines), dtype=int)
     for ln in range(lines):
         for attempt in range(20):
             a, b = draw_vec(), draw_vec()
-            qv = _restrict_to_line(den, a, b)
-            if np.abs(qv).max() <= 1e-14 * den_scale and den.total_degree() > 0:
+            qv = _line_coeffs(den, a, b, n)[:, 0, 0]
+            if np.abs(qv).max() <= 1e-14 * den_scale and den_deg > 0:
                 continue
-            svs = [_restrict_to_line(s, a, b) for s in scalarizations]
-            bad = any(
-                np.abs(sv).max() <= 1e-14 * num_scale and not s.is_zero()
-                for sv, s in zip(svs, scalarizations)
-            )
-            if not bad:
+            svs = _line_coeffs(num, a, b, n).reshape(n, m * m) @ weights.T
+            if num.is_zero() or np.all(np.abs(svs).max(axis=0) > 1e-14 * num_scale):
                 break
         else:
             raise DegenerateLine("could not draw a nondegenerate restriction line")
-        for si, sv in enumerate(svs):
-            degrees[si, ln] = _gcd_degree(sv, qv)
-        per_line.append(int(degrees[:, ln].min()))
+        degrees[:, ln] = [_gcd_degree(sv, qv) for sv in svs.T]
 
     if np.all(degrees >= 1):
         verdict = "common-factor-found"
-    elif all(np.any(degrees[si] == 0) for si in range(len(scalarizations))):
+    elif np.any(degrees == 0, axis=1).all():
         verdict = "coprime-probable"
     else:
         verdict = "inconclusive"
-    return CoprimeVerdict(verdict, lines, tuple(per_line), seed)
+    return CoprimeVerdict(verdict, lines, tuple(degrees.min(axis=0).tolist()), seed)

@@ -173,6 +173,25 @@ def test_real_stable_rejects_complex_coefficients():
     assert rep.worst_margin < 0.0
 
 
+def test_realness_threshold_shared_by_real_stable_and_pencil():
+    # an imaginary part of 1e-13 of the largest coefficient counts as real,
+    # one of 1e-11 does not, in check_real_stable and pencil_probe alike
+    for eps, real in ((1e-13, True), (1e-11, False)):
+        p = sp(1, {(1,): 1.0, (0,): 1.0 + 1j * eps})
+        rep = check_real_stable(p, FAST)
+        assert rep.details.get("imag_coeff_max") == (None if real else eps)
+        if real:
+            pencil_probe(p, one(1), FAST)
+        else:
+            with pytest.raises(ValueError, match="p must have real coefficients"):
+                pencil_probe(p, one(1), FAST)
+
+
+def test_tolerances_to_dict_keeps_field_order():
+    assert list(Tolerances().to_dict().items()) == [
+        ("psd_slack", 1e-8), ("reality_slack", 1e-8), ("den_floor", 1e-12)]
+
+
 def test_real_stable_delegates_to_zero_hunt():
     rep = check_real_stable(sp(1, {(2,): 1.0, (0,): 1.0}), FAST)
     assert rep.verdict == "fail"

@@ -13,6 +13,8 @@ from darlington import (
     rotate_to_nevanlinna,
     rotate_to_positive_real,
 )
+from darlington.rational import _line_coeffs
+from corpus import ladder_cases
 
 
 def sp(d, coeffs):
@@ -134,6 +136,78 @@ def test_coprime_probe_deterministic():
     b = coprime_probe(f, seed=5)
     assert a == b
     assert a.to_dict()["seed"] == 5
+
+
+def test_coprime_probe_rejects_fewer_than_one_line():
+    f = RationalMatrixFunction(sp(1, {(1,): 1.0}), sp(1, {(1,): 1.0, (0,): 1.0}))  # z/(z+1)
+    for lines in (0, -1):
+        with pytest.raises(ValueError, match="got %d" % lines):
+            coprime_probe(f, lines=lines)
+
+
+def test_coprime_probe_skips_zero_entries_of_a_matrix_numerator():
+    h = sp(2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): 1.0})  # z1 + z2 + 1
+    a, b = sp(2, {(1, 0): 1.0, (0, 0): 2.0}), sp(2, {(0, 1): 1.0, (0, 0): -3.0})
+    den = h * sp(2, {(1, 0): 1.0, (0, 1): -1.0, (0, 0): 2.0})
+
+    def diag(p, q):
+        return (p * MatrixPoly.constant(2, np.diag([1.0, 0.0]))
+                + q * MatrixPoly.constant(2, np.diag([0.0, 1.0])))
+
+    for p, q, verdict in ((h * a, h * b, "common-factor-found"),
+                          (h * a, b, "inconclusive"),
+                          (a, b, "coprime-probable")):
+        v = coprime_probe(RationalMatrixFunction(diag(p, q), den))
+        assert v.verdict == verdict
+        assert len(v.gcd_degree_per_line) == 8
+
+
+def test_coprime_probe_zero_numerator():
+    zero = MatrixPoly.zero(2, 2)
+    assert coprime_probe(RationalMatrixFunction(zero, sp(2, {(1, 0): 1.0, (0, 0): 1.0}))
+                         ).verdict == "common-factor-found"
+    assert coprime_probe(RationalMatrixFunction(zero, sp(2, {(0, 0): 3.0}))
+                         ).verdict == "coprime-probable"
+
+
+def test_coprime_probe_clears_every_seeded_ladder():
+    for lad in ladder_cases(0, range(1, 17), 3):
+        assert coprime_probe(lad.function()).verdict == "coprime-probable", lad
+
+
+def _restrict_reference(p, a, b):
+    """Coefficients in t of p on the line z = a + t b, one convolution per
+    factor of every term: the reference for the FFT restriction."""
+    out = np.zeros((max(p.total_degree(), 0) + 1, p.m, p.m), dtype=np.complex128)
+    for e, arr in p.ordered_terms():
+        mono = np.ones(1, dtype=np.complex128)
+        for k, ek in enumerate(e):
+            lin = np.array([a[k], b[k]], dtype=np.complex128)
+            for _ in range(ek):
+                mono = np.convolve(mono, lin)
+        out[: len(mono)] += mono[:, None, None] * arr
+    return out
+
+
+def test_line_coefficients_match_the_convolution_reference():
+    rng = np.random.default_rng(7)
+    polys = [MatrixPoly.zero(2, 2), MatrixPoly.constant(3, 2.5 - 1j),
+             MatrixPoly.constant(1, rng.standard_normal((3, 3)))]
+    for d in (1, 2, 3):
+        for m in (1, 2, 3):
+            exps = {tuple(rng.integers(0, 3, d)) for _ in range(6)}
+            polys.append(MatrixPoly(d, m, {e: rng.standard_normal((m, m))
+                                           + 1j * rng.standard_normal((m, m)) for e in exps}))
+    for p in polys:
+        a = rng.standard_normal(p.d) + 1j * rng.standard_normal(p.d)
+        b = rng.standard_normal(p.d) + 1j * rng.standard_normal(p.d)
+        want = _restrict_reference(p, a, b)
+        tol = 1e-12 * max(np.abs(want).max(), 1e-300)
+        for extra in (0, 3):
+            got = _line_coeffs(p, a, b, len(want) + extra)
+            assert got.shape == (len(want) + extra, p.m, p.m)
+            assert np.abs(got[: len(want)] - want).max() <= tol, p
+            assert np.abs(got[len(want):]).max(initial=0.0) <= tol, p
 
 
 def test_immutable():
