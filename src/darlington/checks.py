@@ -18,27 +18,7 @@ import numpy as np
 
 from . import linalg
 from .poly import MatrixPoly
-from .rational import RationalMatrixFunction
-
-__all__ = [
-    "DEFAULT_SEED",
-    "SampleConfig",
-    "Tolerances",
-    "CheckReport",
-    "PencilProbe",
-    "SingularCayley",
-    "check_nevanlinna",
-    "check_cayley_inner",
-    "check_positive_real",
-    "check_stable",
-    "check_real_stable",
-    "pencil_probe",
-    "lemma11_probe",
-    "lemma12_probe",
-    "double_cayley_eval",
-    "disk_to_upper",
-    "upper_to_disk",
-]
+from .rational import DEN_FLOOR_RTOL, RationalMatrixFunction
 
 DEFAULT_SEED = 0xDA71
 ROOT_ABS_RTOL = 1e-10
@@ -77,7 +57,7 @@ class SampleConfig:
 class Tolerances:
     psd_slack: float = 1e-8
     reality_slack: float = 1e-8
-    den_floor: float = 1e-12
+    den_floor: float = DEN_FLOOR_RTOL
 
     def to_dict(self):
         return asdict(self)
@@ -616,7 +596,7 @@ def upper_to_disk(z):
     return (z - 1j) / (z + 1j)
 
 
-def double_cayley_eval(f, w, den_floor_rtol=1e-12):
+def double_cayley_eval(f, w, den_floor_rtol=DEN_FLOOR_RTOL):
     """Value of the disk-side contraction (F - iI)(F + iI)^{-1} at a disk point w.
 
     Upper-half-plane positivity of f makes the result contractive; raises

@@ -46,15 +46,7 @@ from .fileio import (
 from .lift import lift, restrict_at_i
 from .poly import DimensionMismatch
 from .rational import NearPole, identity_equal
-from .realization import (
-    NotOneVariable,
-    NotScalar,
-    ReconstructionMismatch,
-    SplitFailed,
-    realize_1d,
-)
-
-__all__ = ["main"]
+from .realization import ReconstructionMismatch, SplitFailed, realize_1d
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -333,14 +325,14 @@ def _add_common(sub, sampling):
         sub.add_argument("--seed", type=_int_at_least(0), default=None,
                          help="RNG seed (0 = OS entropy; default: $DARLINGTON_SEED or %d)"
                               % DEFAULT_SEED)
-        sub.add_argument("--samples", type=_int_at_least(1), default=200)
-        sub.add_argument("--box-radius", type=positive, default=10.0)
-        sub.add_argument("--imag-floor", type=positive, default=1e-3,
+        sub.add_argument("--samples", type=_int_at_least(1), default=SampleConfig.count)
+        sub.add_argument("--box-radius", type=positive, default=SampleConfig.box_radius)
+        sub.add_argument("--imag-floor", type=positive, default=SampleConfig.imag_floor,
                          help="smallest sampled imaginary part; must be below --box-radius")
         sub.add_argument("--no-edge-points", action="store_true")
-        sub.add_argument("--psd-slack", type=nonnegative, default=1e-8)
-        sub.add_argument("--reality-slack", type=nonnegative, default=1e-8)
-    sub.add_argument("--den-floor", type=nonnegative, default=1e-12)
+        sub.add_argument("--psd-slack", type=nonnegative, default=Tolerances.psd_slack)
+        sub.add_argument("--reality-slack", type=nonnegative, default=Tolerances.reality_slack)
+    sub.add_argument("--den-floor", type=nonnegative, default=Tolerances.den_floor)
 
 
 def build_parser():
@@ -378,7 +370,7 @@ def main(argv=None):
     except FileFormatError as exc:
         _say("error: %s" % exc)
         return EXIT_FORMAT
-    except (NotScalar, NotOneVariable, DimensionMismatch) as exc:
+    except DimensionMismatch as exc:
         _say("precondition: %s" % exc)
         return EXIT_PRECONDITION
     except ReconstructionMismatch as exc:

@@ -16,17 +16,6 @@ import sys
 from .poly import MatrixPoly
 from .rational import RationalMatrixFunction
 
-__all__ = [
-    "FileFormatError",
-    "SCHEMA_VERSION",
-    "FRAMES",
-    "function_to_dict",
-    "function_from_dict",
-    "save_function",
-    "load_function",
-    "dumps_deterministic",
-]
-
 SCHEMA_VERSION = 1
 FRAMES = ("nevanlinna", "positive-real")
 

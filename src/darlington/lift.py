@@ -17,20 +17,6 @@ from dataclasses import dataclass
 from .poly import MatrixPoly
 from .rational import RationalMatrixFunction
 
-__all__ = [
-    "Decomposition",
-    "DarlingtonLift",
-    "ZeroDenominatorPencil",
-    "decompose",
-    "lift",
-    "restrict_at_i",
-]
-
-
-class ZeroDenominatorPencil(ArithmeticError):
-    """Both denominator halves vanished; the input denominator was zero."""
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Halves of a normalized fraction P/q.
@@ -74,24 +60,6 @@ class DarlingtonLift:
     pieces: Decomposition
     lifted: RationalMatrixFunction
 
-    @property
-    def d(self):
-        return self.input.d
-
-    @property
-    def m(self):
-        return self.input.m
-
-    def compress(self, eta):
-        """Scalar lift eta^* route: compress the matrix halves by eta."""
-        pc = Decomposition(
-            self.pieces.p1.quadratic_form(eta),
-            self.pieces.p2.quadratic_form(eta),
-            self.pieces.q1,
-            self.pieces.q2,
-        )
-        return DarlingtonLift(self.input.compress(eta), pc, self.lifted.compress(eta))
-
 
 def lift(f):
     """Lift f (upper-half-plane frame) to d+1 variables with value f at z_new = i."""
@@ -101,8 +69,6 @@ def lift(f):
     z_new = MatrixPoly.variable(d + 1, d)
     num = z_new * pieces.p1.append_variable() + pieces.p2.append_variable()
     den = z_new * pieces.q1.append_variable() + pieces.q2.append_variable()
-    if den.is_zero():
-        raise ZeroDenominatorPencil("pencil denominator is identically zero")
     lifted = RationalMatrixFunction(num, den).normalize()
     return DarlingtonLift(g, pieces, lifted)
 

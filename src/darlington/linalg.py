@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hermitian_min_eig_many"]
-
 
 def hermitian_min_eig_many(hs):
     """Batched smallest eigenvalues: (n, m, m) stack -> (n,) floats.

@@ -26,16 +26,14 @@ serialization) is graded lexicographic, highest first.
 
 from __future__ import annotations
 
-from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
 
-__all__ = ["MatrixPoly", "DimensionMismatch"]
-
 
 class DimensionMismatch(ValueError):
-    """Operands disagree in variable count or matrix size."""
+    """Operands disagree in variable count or matrix size, or an input has the
+    wrong variable count or matrix size for its use."""
 
 
 def _grlex_key(exps):
@@ -89,7 +87,7 @@ class MatrixPoly:
             raise ValueError("non-finite coefficient at %r" % (keys[bad],))
         if np.count_nonzero(flat) < flat.size:
             nonzero = flat.any(axis=1)
-            keys = list(compress(keys, nonzero.tolist()))
+            keys = [k for k, keep in zip(keys, nonzero.tolist()) if keep]
             coeffs = coeffs[nonzero]
         if not distinct and len(set(keys)) < len(keys):
             seen = set()
@@ -399,17 +397,6 @@ class MatrixPoly:
             ne = tuple(x - 1 if j == k else x for j, x in enumerate(e))
             out[ne] = a * e[k]
         return MatrixPoly(self.d, self.m, out)
-
-    def quadratic_form(self, eta):
-        """Scalar polynomial eta P eta^* for a length-m row vector eta."""
-        eta = np.asarray(eta, dtype=np.complex128).reshape(-1)
-        if eta.shape[0] != self.m:
-            raise DimensionMismatch("eta has length %d, expected %d" % (eta.shape[0], self.m))
-        if np.count_nonzero(eta) == 0:
-            raise ValueError("eta must be nonzero")
-        return MatrixPoly(
-            self.d, 1, {e: complex(eta @ a @ eta.conj()) for e, a in self.terms.items()}
-        )
 
     # ------------------------------------------------------------------
     # comparison / display

@@ -15,17 +15,6 @@ import numpy as np
 
 from .poly import DimensionMismatch, MatrixPoly
 
-__all__ = [
-    "NearPole",
-    "DegenerateLine",
-    "RationalMatrixFunction",
-    "CoprimeVerdict",
-    "identity_equal",
-    "coprime_probe",
-    "rotate_to_nevanlinna",
-    "rotate_to_positive_real",
-]
-
 IDENTITY_RTOL = 1e-12
 DEN_FLOOR_RTOL = 1e-12
 GCD_DROP_TOL = 1e-10
@@ -106,10 +95,6 @@ class RationalMatrixFunction:
         safe = np.where(ok, dv, 1.0)
         vals = self.num.evaluate_many(Z) / safe[:, None, None]
         return vals, ok
-
-    def compress(self, eta):
-        """Scalar rational function eta f eta^* (same denominator)."""
-        return RationalMatrixFunction(self.num.quadratic_form(eta), self.den)
 
     def __repr__(self):
         return "RationalMatrixFunction(d=%d, m=%d, num %d terms / den %d terms)" % (
@@ -291,9 +276,11 @@ def coprime_probe(f, lines=8, seed=0xDA71):
     def draw_vec():
         return rng.standard_normal(d) + 1j * rng.standard_normal(d)
 
-    # one row per scalarization: its weight on each entry of the (m, m) value
+    # one row per scalarization: its weight on each entry of the (m, m) value;
+    # a line is degenerate for a scalarization when its restriction vanishes
+    # relative to that scalarization's own largest coefficient
     if num.is_zero():
-        weights = np.zeros((1, m * m))
+        weights, sv_scale = np.zeros((1, m * m)), np.zeros(1)
     else:
         stack = np.array(list(num.terms.values()))
         weights = list(np.eye(m * m)[stack.any(axis=0).ravel()])
@@ -303,8 +290,8 @@ def coprime_probe(f, lines=8, seed=0xDA71):
                 weights.append(np.outer(eta, eta.conj()).ravel())
                 break
         weights = np.array(weights)
+        sv_scale = np.abs(stack.reshape(len(stack), m * m) @ weights.T).max(axis=0)
 
-    num_scale = max(num.max_coeff_magnitude(), 1e-300)
     den_scale = max(den.max_coeff_magnitude(), 1e-300)
     den_deg = den.total_degree()
     n = max(num.total_degree(), den_deg) + 1
@@ -316,7 +303,7 @@ def coprime_probe(f, lines=8, seed=0xDA71):
             if np.abs(qv).max() <= 1e-14 * den_scale and den_deg > 0:
                 continue
             svs = _line_coeffs(num, a, b, n).reshape(n, m * m) @ weights.T
-            if num.is_zero() or np.all(np.abs(svs).max(axis=0) > 1e-14 * num_scale):
+            if num.is_zero() or np.all(np.abs(svs).max(axis=0) > 1e-14 * sv_scale):
                 break
         else:
             raise DegenerateLine("could not draw a nondegenerate restriction line")

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .lift import decompose
-from .poly import MatrixPoly
+from .poly import DimensionMismatch, MatrixPoly
 from .rational import (
     RationalMatrixFunction,
     _coeffs,
@@ -37,25 +37,8 @@ from .rational import (
     rotate_to_nevanlinna,
 )
 
-__all__ = [
-    "NotScalar",
-    "NotOneVariable",
-    "SplitFailed",
-    "ReconstructionMismatch",
-    "LFTRealization",
-    "realize_1d",
-]
-
 SPLIT_STRUCTURE_RTOL = 1e-7
 SPLIT_IDENTITY_RTOL = 1e-7
-
-
-class NotScalar(ValueError):
-    """realize_1d needs a 1 x 1 function."""
-
-
-class NotOneVariable(ValueError):
-    """realize_1d needs a function of exactly one variable."""
 
 
 class SplitFailed(ArithmeticError):
@@ -168,9 +151,10 @@ def realize_1d(f):
     rational identity (checked; ReconstructionMismatch otherwise).
     """
     if f.m != 1:
-        raise NotScalar("input is %d x %d; the one-variable realization is scalar" % (f.m, f.m))
+        raise DimensionMismatch("input is %d x %d; the one-variable realization is scalar"
+                                % (f.m, f.m))
     if f.d != 1:
-        raise NotOneVariable("input has %d variables; expected 1" % f.d)
+        raise DimensionMismatch("input has %d variables; expected 1" % f.d)
     source = f if f.normalized else f.normalize()
     pieces = decompose(rotate_to_nevanlinna(source))
 

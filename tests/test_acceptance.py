@@ -16,7 +16,6 @@ from darlington import (
     check_cayley_inner,
     check_positive_real,
     coprime_probe,
-    double_cayley_eval,
     identity_equal,
     lemma11_probe,
     lemma12_probe,
@@ -26,6 +25,7 @@ from darlington import (
     rotate_to_nevanlinna,
     save_function,
 )
+from darlington.checks import double_cayley_eval
 from darlington.cli import main
 from corpus import herglotz_cases, ladder_cases, pair_cases
 

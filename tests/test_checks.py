@@ -10,22 +10,24 @@ from darlington import (
     MatrixPoly,
     RationalMatrixFunction,
     SampleConfig,
-    SingularCayley,
     Tolerances,
     check_cayley_inner,
     check_nevanlinna,
     check_positive_real,
     check_real_stable,
     check_stable,
-    disk_to_upper,
-    double_cayley_eval,
     lemma11_probe,
     lemma12_probe,
     pencil_probe,
     rotate_to_positive_real,
+)
+from darlington.checks import (
+    SingularCayley,
+    disk_to_upper,
+    double_cayley_eval,
+    upper_points,
     upper_to_disk,
 )
-from darlington.checks import upper_points
 from corpus import herglotz_cases, pair_cases
 
 

@@ -250,6 +250,15 @@ def test_realize1d_rejects_matrix_input(tmp_path, capsys):
     assert code == 3
 
 
+def test_realize1d_rejects_several_variables(tmp_path, capsys):
+    f = RationalMatrixFunction(sp(2, {(1, 0): 1.0}), one(2))
+    path = write(tmp_path, "two_vars.json", f, "positive-real")
+    assert main(["realize1d", path] + FAST) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition: input has 2 variables; expected 1\n"
+
+
 def test_realize1d_rejects_non_positive_real(tmp_path, capsys):
     import numpy as np
 

@@ -7,12 +7,10 @@ from darlington import (
     FileFormatError,
     MatrixPoly,
     RationalMatrixFunction,
-    dumps_deterministic,
-    function_from_dict,
-    function_to_dict,
     load_function,
     save_function,
 )
+from darlington.fileio import dumps_deterministic, function_from_dict, function_to_dict
 
 
 def sample_function():

@@ -396,20 +396,6 @@ def test_differentiate():
         p.differentiate(2)
 
 
-def test_quadratic_form():
-    rng = np.random.default_rng(8)
-    p = rand_poly(rng, 2, 3)
-    eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    s = p.quadratic_form(eta)
-    assert s.m == 1
-    z = (0.2 + 0.5j, -0.9 + 0.1j)
-    np.testing.assert_allclose(
-        s.evaluate(z)[0, 0], eta @ p.evaluate(z) @ eta.conj(), rtol=1e-12, atol=1e-12
-    )
-    with pytest.raises(ValueError):
-        p.quadratic_form(np.zeros(3))
-
-
 def test_equality_is_exact():
     p = MatrixPoly.from_scalar_terms(1, {(1,): 1.0})
     q = MatrixPoly.from_scalar_terms(1, {(1,): 1.0 + 1e-15})
