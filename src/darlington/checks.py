@@ -149,30 +149,35 @@ POLE_NOTE = "every sample hit the pole floor"
 OVERFLOW_NOTE = "every sample hit the pole floor or gave a non-finite margin"
 
 
-def _psd_margins(f, pts, part, tols):
-    """Margins at the points that clear the pole floor; None if there are none.
+def _kept(pts, vals, ok, margin):
+    """The sample rows a verdict rests on, or the note saying why there are none.
 
-    A point whose margin is not finite (the value overflowed) is dropped
-    too: comparisons with NaN are false, so it could never fail.
+    ``margin`` maps the values at the points that clear the pole floor
+    (``ok``) to a tuple of per-row arrays, the margin first.  Rows with a
+    non-finite margin (a value overflowed) are dropped too: comparisons with
+    NaN are false, so they could never fail.  Returns the kept points and
+    arrays, or POLE_NOTE / OVERFLOW_NOTE.
     """
-    vals, ok = f.eval_many(pts, tols.den_floor)
     if not ok.any():
-        return None, None
-    re_h, im_h = _herm_parts(vals[ok])
-    sel = im_h if part == "imag" else re_h
-    margins = linalg.hermitian_min_eig_many(sel) + tols.psd_slack
-    fin = np.isfinite(margins)
-    return margins[fin], pts[ok][fin]
+        return POLE_NOTE
+    cols = margin(vals[ok])
+    fin = np.isfinite(cols[0])
+    if not fin.any():
+        return OVERFLOW_NOTE
+    return (pts[ok][fin],) + tuple(c[fin] for c in cols)
 
 
 def _psd_report(name, part, f, pts, cfg, tols):
-    margins, kept = _psd_margins(f, pts, part, tols)
+    def margin(vals):
+        re_h, im_h = _herm_parts(vals)
+        return (linalg.hermitian_min_eig_many(im_h if part == "imag" else re_h) + tols.psd_slack,)
+
+    kept = _kept(pts, *f.eval_many(pts, tols.den_floor), margin)
     details = {"points_drawn": int(len(pts)), "tolerances": tols.to_dict()}
-    if margins is None or not len(margins):
-        note = POLE_NOTE if margins is None else OVERFLOW_NOTE
+    if isinstance(kept, str):
         return CheckReport(name, "inconclusive", 0, float("nan"), None, cfg.seed,
-                           dict(details, note=note))
-    used = len(margins)
+                           dict(details, note=kept))
+    kept, margins = kept
     worst = float(margins.min())
     witness = None
     if worst < 0.0:
@@ -182,7 +187,7 @@ def _psd_report(name, part, f, pts, cfg, tols):
             "min_eig": _json_float(margins[k] - tols.psd_slack),
             "part": part,
         }
-    return CheckReport(name, "fail" if worst < 0 else "pass", used, worst, witness,
+    return CheckReport(name, "fail" if worst < 0 else "pass", len(margins), worst, witness,
                        cfg.seed, details)
 
 
@@ -208,41 +213,35 @@ def check_cayley_inner(f, config=None, tolerances=None):
     cfg, tols, rng = _setup(config, tolerances)
     interior = _psd_report("nevanlinna", "imag", f, upper_points(cfg, rng, f.d), cfg, tols)
 
+    def margin(vals):
+        # the svd raises on NaN: rows with a non-finite value get a NaN margin
+        good = np.isfinite(vals).all(axis=(1, 2))
+        vals = np.where(good[:, None, None], vals, 0.0)
+        norms = np.linalg.svd(vals, compute_uv=False)[:, 0]
+        im_norms = np.abs(np.linalg.eigvalsh(_herm_parts(vals)[1])).max(axis=1)
+        return np.where(good, tols.reality_slack * (1.0 + norms) - im_norms, np.nan), im_norms
+
     pts = real_points(cfg, rng, f.d)
-    vals, ok = f.eval_many(pts, tols.den_floor)
+    kept = _kept(pts, *f.eval_many(pts, tols.den_floor), margin)
     details = {
         "interior": interior.to_dict(),
         "boundary_points_drawn": int(len(pts)),
         "tolerances": tols.to_dict(),
     }
-    # non-finite margins are dropped as in _psd_margins; non-finite values
-    # go first, because the svd raises on NaN
-    keep = ok & np.isfinite(vals).all(axis=(1, 2))
-    real_margins = np.empty(0)
-    if keep.any():
-        kept, real_pts = vals[keep], pts[keep]
-        _, im_h = _herm_parts(kept)
-        norms = np.linalg.svd(kept, compute_uv=False)[:, 0]
-        im_norms = np.abs(np.linalg.eigvalsh(im_h)).max(axis=1)
-        real_margins = tols.reality_slack * (1.0 + norms) - im_norms
-        fin = np.isfinite(real_margins)
-        real_margins, im_norms, real_pts = real_margins[fin], im_norms[fin], real_pts[fin]
-    used = len(real_margins)
-    if used == 0 and interior.verdict == "inconclusive":
-        note = interior.details["note"] if not ok.any() else OVERFLOW_NOTE
+    inside = interior.worst_margin if interior.verdict != "inconclusive" else np.inf
+    if not isinstance(kept, str):
+        real_pts, real_margins, im_norms = kept
+        boundary, used = float(real_margins.min()), len(real_margins)
+    elif inside < np.inf:
+        boundary, used = np.inf, 0
+    else:
+        note = kept if kept == OVERFLOW_NOTE else interior.details["note"]
         return CheckReport("cayley-inner", "inconclusive", 0, float("nan"), None,
                            cfg.seed, dict(details, note=note))
-    worst_real = float(real_margins.min()) if used else float("inf")
-
-    candidates = []
-    if interior.verdict != "inconclusive":
-        candidates.append(interior.worst_margin)
-    if used:
-        candidates.append(worst_real)
-    worst = float(min(candidates))
+    worst = float(min(inside, boundary))
     witness = None
     if worst < 0.0:
-        if used and worst_real <= (interior.worst_margin if interior.verdict != "inconclusive" else np.inf):
+        if boundary <= inside:
             k = int(np.argmin(real_margins))
             witness = {
                 "point": _json_point(real_pts[k]),
@@ -251,9 +250,8 @@ def check_cayley_inner(f, config=None, tolerances=None):
             }
         else:
             witness = dict(interior.witness or {}, part="interior-psd")
-    samples = interior.samples_used + used
-    return CheckReport("cayley-inner", "fail" if worst < 0 else "pass", samples,
-                       worst, witness, cfg.seed, details)
+    return CheckReport("cayley-inner", "fail" if worst < 0 else "pass",
+                       interior.samples_used + used, worst, witness, cfg.seed, details)
 
 
 # ----------------------------------------------------------------------
@@ -391,26 +389,33 @@ def check_stable(p, config=None, tolerances=None):
 def _imag_coeff_excess(p):
     """The largest imaginary part among p's coefficients, when it exceeds
     COEFF_REAL_RTOL times the largest coefficient magnitude; 0.0 otherwise."""
-    worst = max((float(np.abs(a.imag).max()) for a in p.terms.values()), default=0.0)
+    worst = float(np.abs(np.array(list(p.terms.values())).imag).max(initial=0.0))
     return worst if worst > COEFF_REAL_RTOL * max(p.max_coeff_magnitude(), 1e-300) else 0.0
 
 
 def _non_real_report(p, cfg, rng):
-    """check_real_stable's failing report when p has non-real coefficients, else None."""
+    """check_real_stable's report when p has non-real coefficients, else None:
+    a fail, or inconclusive when every value at the real points overflows."""
     imag_excess = _imag_coeff_excess(p)
     if not imag_excess:
         return None
     # witness: a real point where the imaginary part is re-evaluably large
     pts = real_points(cfg, rng, p.d)
-    imvals = np.abs(p.evaluate_many(pts)[:, 0, 0].imag)
-    k = int(np.argmax(imvals))
+    kept = _kept(pts, p.evaluate_many(pts), np.ones(len(pts), dtype=bool),
+                 lambda vals: (-np.abs(vals[:, 0, 0].imag),))
+    details = {"imag_coeff_max": _json_float(imag_excess)}
+    if isinstance(kept, str):
+        return CheckReport("real-stable", "inconclusive", 0, float("nan"), None, cfg.seed,
+                           dict(details, note=kept))
+    kept, margins = kept
+    k = int(np.argmin(margins))
     witness = {
-        "point": _json_point(pts[k]),
-        "imag_value": _json_float(imvals[k]),
+        "point": _json_point(kept[k]),
+        "imag_value": _json_float(-margins[k]),
         "part": "non-real-coefficients",
     }
-    return CheckReport("real-stable", "fail", len(pts), float(-imvals[k]), witness,
-                       cfg.seed, {"imag_coeff_max": _json_float(imag_excess)})
+    return CheckReport("real-stable", "fail", len(margins), float(margins[k]), witness,
+                       cfg.seed, details)
 
 
 @_quiet
@@ -550,16 +555,13 @@ def lemma12_probe(p, q, config=None, tolerances=None):
         raise ValueError("q must be nonzero to form the ratio p/q")
     cfg, tols, rng = _setup(config, tolerances)
     pts = upper_points(cfg, rng, p.d)
-    f = RationalMatrixFunction(p, q)
-    vals, ok = f.eval_many(pts, tols.den_floor)
+    kept = _kept(pts, *RationalMatrixFunction(p, q).eval_many(pts, tols.den_floor),
+                 lambda vals: (vals[:, 0, 0].imag,))
     details = {"points_drawn": int(len(pts)), "reality_slack": tols.reality_slack}
-    im = vals[ok][:, 0, 0].imag
-    fin = np.isfinite(im)
-    im, kept = im[fin], pts[ok][fin]
-    if not len(im):
-        note = POLE_NOTE if not ok.any() else OVERFLOW_NOTE
+    if isinstance(kept, str):
         return CheckReport("ratio-sign-definite", "inconclusive", 0, float("nan"),
-                           None, cfg.seed, dict(details, note=note))
+                           None, cfg.seed, dict(details, note=kept))
+    kept, im = kept
     lo, hi = float(im.min()), float(im.max())
     mixed = min(-lo, hi)
     margin = tols.reality_slack - mixed

@@ -8,8 +8,8 @@ human summary goes to stderr.
 Exit codes:
   0  pass
   1  a check failed and a witness is in the report
-  2  unreadable input or bad arguments
-  3  precondition violated (wrong frame, wrong shape)
+  2  unreadable input, bad arguments, or a coefficient overflowed
+  3  precondition violated (wrong frame, wrong shape, non-real realize1d input)
   4  an exact identity failed to hold
   5  a class membership check failed
   6  only inconclusive evidence (e.g. a stability hunt found no zero)
@@ -29,7 +29,6 @@ import numpy as np
 from .checks import (
     DEFAULT_SEED,
     SampleConfig,
-    SingularCayley,
     Tolerances,
     check_cayley_inner,
     check_nevanlinna,
@@ -206,8 +205,7 @@ def _eval(args, f, inputs):
                               % (len(point), f.d))
     if not all(cmath.isfinite(c) for c in point):
         raise FileFormatError("--at coordinates must be finite, got %s" % args.at)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = f.eval(np.array(point), args.den_floor)
+    value = f.eval(np.array(point), args.den_floor)
     if not np.all(np.isfinite(value)):
         raise FileFormatError("the value at %s is not finite" % args.at)
     inputs["point"] = [[float(c.real), float(c.imag)] for c in point]
@@ -240,6 +238,18 @@ COMMANDS = {
 
 # verdicts of exact identities; every other verdict is a sampled check's
 EXACT = ("identity-at-i", "pieces-structured", "reconstruction")
+
+
+# what a command may raise: (type, summary prefix, exit code), first match
+# wins; a ValueError that is neither of the first two is a coefficient that
+# overflowed while the command ran
+_ERRORS = (
+    (FileFormatError, "error", EXIT_FORMAT),
+    (DimensionMismatch, "precondition", EXIT_PRECONDITION),
+    (ValueError, "error", EXIT_FORMAT),
+    (ReconstructionMismatch, "identity failure", EXIT_IDENTITY),
+    (NearPole, "near pole", EXIT_NEAR_POLE),
+)
 
 
 def _exit_code(verdicts, fail_code):
@@ -366,22 +376,14 @@ def main(argv=None):
             # points are drawn uniformly from [-box_radius, box_radius]
             parser.error("--box-radius (%r) is too large" % args.box_radius)
     try:
-        return _dispatch(args)
-    except FileFormatError as exc:
-        _say("error: %s" % exc)
-        return EXIT_FORMAT
-    except DimensionMismatch as exc:
-        _say("precondition: %s" % exc)
-        return EXIT_PRECONDITION
-    except ReconstructionMismatch as exc:
-        _say("identity failure: %s" % exc)
-        return EXIT_IDENTITY
-    except SingularCayley as exc:
-        _say("class failure: %s" % exc)
-        return EXIT_CLASS
-    except NearPole as exc:
-        _say("near pole: %s" % exc)
-        return EXIT_NEAR_POLE
+        # an overflow ends in a dropped sample or in an error naming it, so
+        # numpy's warnings about it would only clutter stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _dispatch(args)
+    except tuple(error for error, _, _ in _ERRORS) as exc:
+        prefix, code = next((p, c) for error, p, c in _ERRORS if isinstance(exc, error))
+        _say("%s: %s" % (prefix, exc))
+        return code
 
 
 if __name__ == "__main__":

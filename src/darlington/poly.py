@@ -33,7 +33,7 @@ import numpy as np
 
 class DimensionMismatch(ValueError):
     """Operands disagree in variable count or matrix size, or an input has the
-    wrong variable count or matrix size for its use."""
+    wrong variable count, matrix size or coefficient field for its use."""
 
 
 def _grlex_key(exps):
@@ -119,12 +119,13 @@ class MatrixPoly:
                 rest_group.append(g)
         if not rest:
             return cls._from_stack(d, m, keys, values)
-        out = values[first]
+        # index with arrays: numpy converts an index list element by element
+        out = values[np.array(first)]
         slots = np.array(rest_group)
         if m > 1:
             # add.at over a flat array: per-index (m, m) blocks take its slow path
             slots = (slots[:, None] * (m * m) + np.arange(m * m)).ravel()
-        np.add.at(out.reshape(-1), slots, values[rest].reshape(-1))
+        np.add.at(out.reshape(-1), slots, values[np.array(rest)].reshape(-1))
         return cls._from_stack(d, m, list(index), out)
 
     def __setattr__(self, name, value):
@@ -211,21 +212,8 @@ class MatrixPoly:
         self._check_compat(other)
         if self.m != other.m:
             raise DimensionMismatch("matrix sizes differ: %d vs %d" % (self.m, other.m))
-        row = {e: i for i, e in enumerate(self.terms)}
-        keys = list(self.terms)
-        mine, theirs, new = [], [], []
-        for j, e in enumerate(other.terms):
-            i = row.get(e)
-            if i is None:
-                new.append(j)
-                keys.append(e)
-            else:
-                mine.append(i)
-                theirs.append(j)
-        coeffs = np.concatenate((self._coeffs, other._coeffs[new]))
-        if mine:
-            coeffs[mine] += other._coeffs[theirs]
-        return MatrixPoly._from_stack(self.d, self.m, keys, coeffs)
+        return MatrixPoly._collect(self.d, self.m, list(self.terms) + list(other.terms),
+                                   np.concatenate((self._coeffs, other._coeffs)))
 
     def __neg__(self):
         return MatrixPoly._from_stack(self.d, self.m, list(self.terms), -self._coeffs)

@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from .checks import _imag_coeff_excess
 from .lift import decompose
 from .poly import DimensionMismatch, MatrixPoly
 from .rational import (
@@ -44,9 +45,8 @@ SPLIT_IDENTITY_RTOL = 1e-7
 class SplitFailed(ArithmeticError):
     """The coupling term could not be factored across s -> -s.
 
-    The input was not positive-real (the factorization constant came out
-    non-positive, or the stable factor not real) or had non-real
-    coefficients in the branch that requires real ones.
+    The input was not positive-real: the factorization constant came out
+    non-positive, or the stable factor not real.
     """
 
 
@@ -148,7 +148,9 @@ def realize_1d(f):
     """Lossless 2 x 2 embedding of a scalar one-variable positive-real function.
 
     Returns an LFTRealization whose loop closure equals f as an exact
-    rational identity (checked; ReconstructionMismatch otherwise).
+    rational identity (checked; ReconstructionMismatch otherwise).  Raises
+    DimensionMismatch unless f is scalar, of one variable and, once
+    normalized, has real coefficients.
     """
     if f.m != 1:
         raise DimensionMismatch("input is %d x %d; the one-variable realization is scalar"
@@ -156,6 +158,10 @@ def realize_1d(f):
     if f.d != 1:
         raise DimensionMismatch("input has %d variables; expected 1" % f.d)
     source = f if f.normalized else f.normalize()
+    imag = max(_imag_coeff_excess(source.num), _imag_coeff_excess(source.den))
+    if imag:
+        raise DimensionMismatch("input has non-real coefficients (largest imaginary part %r "
+                                "after normalization); the realization needs real ones" % imag)
     pieces = decompose(rotate_to_nevanlinna(source))
 
     # rotate the pencil halves back to the right-half-plane frame

@@ -22,6 +22,8 @@ from darlington import (
     rotate_to_positive_real,
 )
 from darlington.checks import (
+    OVERFLOW_NOTE,
+    POLE_NOTE,
     SingularCayley,
     disk_to_upper,
     double_cayley_eval,
@@ -107,6 +109,19 @@ def test_overflowed_margins_never_pass(terms):
         assert (val.imag if part == "imag" else val.real) < 0, check.__name__
 
 
+@pytest.mark.parametrize("num, den, tols, note", [
+    # every sample is on the pole floor when the floor is the whole denominator
+    ({(1,): 1.0}, {(0,): 1.0}, Tolerances(den_floor=1.0), POLE_NOTE),
+    # every value overflows, on both halves of the sample
+    ({(1,): 1e300, (0,): 1e300}, {(0,): 1e-300}, None, OVERFLOW_NOTE),
+])
+def test_cayley_inner_inconclusive_notes(num, den, tols, note):
+    rep = check_cayley_inner(RationalMatrixFunction(sp(1, num), sp(1, den)), FAST, tols)
+    assert rep.verdict == "inconclusive" and rep.samples_used == 0
+    assert rep.details["note"] == note
+    assert rep.details["interior"]["verdict"] == "inconclusive"
+
+
 def test_reports_are_deterministic():
     # -z1 fails with a witness at the random point of largest height, so the
     # margin is seed-sensitive while equal seeds reproduce bit for bit
@@ -173,6 +188,23 @@ def test_real_stable_rejects_complex_coefficients():
     assert rep.verdict == "fail"
     assert rep.witness["part"] == "non-real-coefficients"
     assert rep.worst_margin < 0.0
+
+
+def test_real_stable_witness_skips_overflowed_points():
+    # Im p overflows at the real points with |x| > 8.3; they are dropped, so
+    # the witness is the largest finite imaginary part and re-evaluates
+    p = sp(1, {(9,): 1e300j, (0,): 1.0})
+    rep = check_real_stable(p)
+    assert rep.verdict == "fail" and np.isfinite(rep.worst_margin)
+    w = rep.witness
+    assert w["imag_value"] == -rep.worst_margin
+    assert abs(p.evaluate([complex(*xy) for xy in w["point"]])[0, 0].imag) == w["imag_value"]
+
+
+def test_real_stable_is_inconclusive_when_every_value_overflows():
+    rep = check_real_stable(sp(1, {(9,): 1e300j, (0,): 1.0}), SampleConfig(box_radius=1e10))
+    assert rep.verdict == "inconclusive" and rep.samples_used == 0
+    assert rep.details["note"] == OVERFLOW_NOTE and rep.witness is None
 
 
 def test_realness_threshold_shared_by_real_stable_and_pencil():

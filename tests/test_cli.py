@@ -259,6 +259,19 @@ def test_realize1d_rejects_several_variables(tmp_path, capsys):
     assert captured.err == "precondition: input has 2 variables; expected 1\n"
 
 
+def test_realize1d_rejects_non_real_coefficients(tmp_path, capsys):
+    # (s + 2 + i)/(s + 1) passes the positive-real check, yet has no real realization
+    f = RationalMatrixFunction(sp(1, {(1,): 1.0, (0,): 2.0 + 1j}), sp(1, {(1,): 1.0, (0,): 1.0}))
+    path = write(tmp_path, "non_real.json", f, "positive-real")
+    assert main(["check", path, "--class", "positive-real"] + FAST) == 0
+    capsys.readouterr()
+    assert main(["realize1d", path] + FAST) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition: input has non-real coefficients")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_realize1d_rejects_non_positive_real(tmp_path, capsys):
     import numpy as np
 
@@ -395,6 +408,28 @@ def test_normalization_overflow_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "leading denominator coefficient (1e-308+0j)" in captured.err
+
+
+# 1e10 / (z1 + 1e-300i z2): the lift divides by the 1e-300i coefficient
+TINY_COEFF = RationalMatrixFunction(sp(2, {(0, 0): 1e10}), sp(2, {(1, 0): 1.0, (0, 1): 1e-300j}))
+
+
+@pytest.mark.parametrize("command, frame, f", [
+    ("lift", "nevanlinna", TINY_COEFF),
+    ("verify", "nevanlinna", TINY_COEFF),
+    # 1e10 s / (s^2 + 1e-300 s + 1): the coupling numerator overflows
+    ("realize1d", "positive-real", RationalMatrixFunction(
+        sp(1, {(1,): 1e10}), sp(1, {(2,): 1.0, (1,): 1e-300, (0,): 1.0}))),
+])
+def test_coefficient_overflow_in_a_command_exits_2(tmp_path, capsys, command, frame, f):
+    path = write(tmp_path, "overflow.json", f, frame)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "non-finite coefficient" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv, code", [

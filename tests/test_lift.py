@@ -233,6 +233,13 @@ def test_realize_rejects_several_variables():
         realize_1d(f)
 
 
+def test_realize_rejects_non_real_coefficients():
+    # (s + 2 + i)/(s + 1) has positive real part on the right half-plane, but
+    # the lossless realization is for real functions
+    with pytest.raises(DimensionMismatch, match=r"largest imaginary part 1\.0 after normalization"):
+        realize_1d(pr({(1,): 1.0, (0,): 2.0 + 1j}, {(1,): 1.0, (0,): 1.0}))
+
+
 def test_realize_rejects_sign_flipped_input():
     # -1/(s+1) has negative real part on the right half-plane; the coupling
     # constant comes out negative and the split refuses it
