@@ -2,9 +2,10 @@
 
 Fractions are never reduced; equality is the cross-multiplied identity test
 at coefficient tolerance.  Coprimality of numerator and denominator is
-probed probabilistically (restrictions to random lines, by evaluation at
-roots of unity and one FFT, then univariate Euclid on each scalarization, a
-weighting of the matrix value) and only ever reported, never acted on.
+probed by univariate Euclid on each scalarization, a weighting of the
+matrix value, and only ever reported, never acted on.  In one variable the
+probe is one exact restriction, in z itself; in several it restricts to
+random lines, by evaluation at roots of unity and one FFT.
 """
 
 from __future__ import annotations
@@ -155,10 +156,11 @@ def _trim(u, tol):
 
 
 def _coeffs(p):
-    """Coefficients of a scalar univariate MatrixPoly ([0] when it is zero)."""
-    out = np.zeros(max(p.total_degree(), 0) + 1, dtype=np.complex128)
+    """Coefficients of a univariate MatrixPoly, as an (n, m, m) stack (one
+    zero matrix when it is zero)."""
+    out = np.zeros((max(p.total_degree(), 0) + 1, p.m, p.m), dtype=np.complex128)
     for e, arr in p.terms.items():
-        out[e[0]] = arr[0, 0]
+        out[e[0]] = arr
     return out
 
 
@@ -259,13 +261,17 @@ def coprime_probe(f, lines=8, seed=0xDA71):
 
     Each numerator entry that is not identically zero, plus one random
     compression eta * num * eta^*, is a scalarization: a fixed weighting of
-    the (m, m) numerator value.  Numerator and denominator are restricted to
-    random complex lines by evaluation at roots of unity and one FFT; a
-    common factor forces a nontrivial univariate gcd on every line.  The
+    the (m, m) numerator value.  Each scalarization and the denominator are
+    restricted to univariate polynomials; a common factor forces a
+    nontrivial gcd on every restriction.  In one variable there is one exact
+    restriction, in z itself (a line a + t b would only change the variable
+    affinely).  ``lines`` and the line draws apply only for d >= 2, which
+    restricts to that many random complex lines by evaluation at roots of
+    unity and one FFT.  ``seed`` drives the compression and the lines.  The
     result is evidence, not a certificate: "coprime-probable" when every
-    scalarization has some line with gcd degree 0, "common-factor-found"
-    when every line and scalarization has gcd degree >= 1, otherwise
-    "inconclusive".
+    scalarization has some restriction with gcd degree 0,
+    "common-factor-found" when every restriction and scalarization has gcd
+    degree >= 1, otherwise "inconclusive".
     """
     if lines < 1:
         raise ValueError("lines must be at least 1, got %r" % (lines,))
@@ -292,22 +298,29 @@ def coprime_probe(f, lines=8, seed=0xDA71):
         weights = np.array(weights)
         sv_scale = np.abs(stack.reshape(len(stack), m * m) @ weights.T).max(axis=0)
 
-    den_scale = max(den.max_coeff_magnitude(), 1e-300)
-    den_deg = den.total_degree()
-    n = max(num.total_degree(), den_deg) + 1
-    degrees = np.zeros((len(weights), lines), dtype=int)
-    for ln in range(lines):
-        for attempt in range(20):
-            a, b = draw_vec(), draw_vec()
-            qv = _line_coeffs(den, a, b, n)[:, 0, 0]
-            if np.abs(qv).max() <= 1e-14 * den_scale and den_deg > 0:
-                continue
-            svs = _line_coeffs(num, a, b, n).reshape(n, m * m) @ weights.T
-            if num.is_zero() or np.all(np.abs(svs).max(axis=0) > 1e-14 * sv_scale):
-                break
-        else:
-            raise DegenerateLine("could not draw a nondegenerate restriction line")
-        degrees[:, ln] = [_gcd_degree(sv, qv) for sv in svs.T]
+    if d == 1:
+        # a line a + t b only changes the variable affinely: restrict in z itself
+        restrictions = [(_coeffs(den)[:, 0, 0], _coeffs(num).reshape(-1, m * m) @ weights.T)]
+    else:
+        den_scale = max(den.max_coeff_magnitude(), 1e-300)
+        den_deg = den.total_degree()
+        n = max(num.total_degree(), den_deg) + 1
+        restrictions = []
+        for ln in range(lines):
+            for attempt in range(20):
+                a, b = draw_vec(), draw_vec()
+                qv = _line_coeffs(den, a, b, n)[:, 0, 0]
+                if np.abs(qv).max() <= 1e-14 * den_scale and den_deg > 0:
+                    continue
+                svs = _line_coeffs(num, a, b, n).reshape(n, m * m) @ weights.T
+                if num.is_zero() or np.all(np.abs(svs).max(axis=0) > 1e-14 * sv_scale):
+                    break
+            else:
+                raise DegenerateLine("could not draw a nondegenerate restriction line")
+            restrictions.append((qv, svs))
+    # rows: scalarizations; columns: restrictions
+    degrees = np.array([[_gcd_degree(sv, qv) for sv in svs.T]
+                        for qv, svs in restrictions]).T
 
     if np.all(degrees >= 1):
         verdict = "common-factor-found"
@@ -315,4 +328,4 @@ def coprime_probe(f, lines=8, seed=0xDA71):
         verdict = "coprime-probable"
     else:
         verdict = "inconclusive"
-    return CoprimeVerdict(verdict, lines, tuple(degrees.min(axis=0).tolist()), seed)
+    return CoprimeVerdict(verdict, len(restrictions), tuple(degrees.min(axis=0).tolist()), seed)

@@ -203,7 +203,7 @@ def realize_1d(f):
         else:
             # b c = wn / qt1^2 = (-1)^(n+1) kappa h(s) h(-s) / den^2
             lead = complex(qt1.leading_coefficient()[1][0, 0])
-            h, kappa = _split_coupling((-1) ** (n + 1) * _coeffs(wn_poly) / lead**2)
+            h, kappa = _split_coupling((-1) ** (n + 1) * _coeffs(wn_poly)[:, 0, 0] / lead**2)
             sk = np.sqrt(kappa)
             b = RationalMatrixFunction(_poly1(sk * h), den)
             c = RationalMatrixFunction(_poly1((-1) ** (n + 1) * sk * _negate_argument(h)), den)
