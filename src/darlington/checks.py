@@ -264,15 +264,16 @@ def _scalar_poly(p):
     return p
 
 
-def _values(basis, coeffs, Z, partials=False):
+def _values(basis, coeffs, Z):
     """Values at the rows of Z of one polynomial per row, given as its row
-    of ``coeffs`` over the terms of ``basis``'s plan; with ``partials``, the
-    (n, d) gradients too.
+    of ``coeffs`` over the terms of ``basis``'s plan.
     """
-    if not partials:
-        return np.einsum("nt,tn->n", coeffs, basis.monomials(Z))
-    mono, grad = basis.monomials(Z, partials=True)
-    return np.einsum("nt,tn->n", coeffs, mono), np.einsum("nt,ktn->nk", coeffs, grad)
+    return np.einsum("nt,tn->n", coeffs, basis.monomials(Z))
+
+
+def _gradients(basis, coeffs, Z):
+    """The (n, d) gradients at the rows of Z of the polynomials of ``_values``."""
+    return np.einsum("nt,ktn->nk", coeffs, basis.monomials(Z, partials=True)[1])
 
 
 def _descend_to_zero(basis, coeffs, owner, Z, floor):
@@ -281,26 +282,26 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
     Row r descends on the polynomial ``coeffs[owner[r]]`` (see ``_values``);
     its iterates stay in the open upper poly-half-plane, with imaginary
     parts clipped at ``floor[owner[r]]``.  Each step tries 8 halvings, and a
-    row stops trying once it improved.  A polynomial's rows stop together
-    after the first of at most 50 iterations in which none of them improved.
-    Returns the final rows and their values.
+    row stops trying once it improved.  A row stops for good at its first
+    step that does not lower |p|, because its next step would repeat it;
+    all stop after 50 iterations.  Returns the final rows and their values.
     """
     Z = Z.copy()
     vals = _values(basis, coeffs[owner], Z)
-    live = np.ones(len(coeffs), dtype=bool)
+    active = np.ones(len(Z), dtype=bool)
     for _ in range(50):
-        rows = np.flatnonzero(live[owner])
+        rows = np.flatnonzero(active)
         if not len(rows):
             break
         own, z, v = owner[rows], Z[rows], vals[rows]
         c = coeffs[own]
-        _, G = _values(basis, c, z, partials=True)
+        G = _gradients(basis, c, z)
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = gn2 > 1e-300
         step = np.zeros_like(G)
         step[safe] = -(v[safe, None] * np.conj(G[safe])) / gn2[safe, None]
         t, av, fl = np.ones(len(rows)), np.abs(v), floor[own, None]
-        improved = np.zeros(len(live), dtype=bool)
+        active[:] = False
         for _ in range(8):
             cand = z + t[:, None] * step
             np.maximum(cand.imag, fl, out=cand.imag)
@@ -309,14 +310,13 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
             if better.any():
                 done = rows[better]
                 Z[done], vals[done] = cand[better], cv[better]
-                improved[own[better]] = True
+                active[done] = True
                 keep = ~better
                 if not keep.any():
                     break
                 rows, own, z, c, step, t, av, fl = (
                     a[keep] for a in (rows, own, z, c, step, t, av, fl))
             t = t * 0.5
-        live &= improved
     return Z, vals
 
 

@@ -21,6 +21,7 @@ from darlington import (
     pencil_probe,
     rotate_to_positive_real,
 )
+from darlington import checks
 from darlington.checks import (
     OVERFLOW_NOTE,
     POLE_NOTE,
@@ -340,6 +341,105 @@ def test_batched_descent_matches_reference():
             np.testing.assert_allclose(got, point, rtol=0, atol=1e-9)
         else:
             assert rep.details["refined_abs_value"] == pytest.approx(value, rel=1e-9)
+
+
+def descent_loop_reference(basis, coeffs, owner, Z, floor):
+    """_descend_to_zero's loop before stopped rows were retired, kept as its
+    reference: a polynomial stays live while any of its rows improved, and
+    every row of a live polynomial is retried."""
+    Z = Z.copy()
+    vals = checks._values(basis, coeffs[owner], Z)
+    live = np.ones(len(coeffs), dtype=bool)
+    for _ in range(50):
+        rows = np.flatnonzero(live[owner])
+        if not len(rows):
+            break
+        own, z, v = owner[rows], Z[rows], vals[rows]
+        c = coeffs[own]
+        G = checks._gradients(basis, c, z)
+        gn2 = (np.abs(G) ** 2).sum(axis=1)
+        safe = gn2 > 1e-300
+        step = np.zeros_like(G)
+        step[safe] = -(v[safe, None] * np.conj(G[safe])) / gn2[safe, None]
+        t, av, fl = np.ones(len(rows)), np.abs(v), floor[own, None]
+        improved = np.zeros(len(live), dtype=bool)
+        for _ in range(8):
+            cand = z + t[:, None] * step
+            np.maximum(cand.imag, fl, out=cand.imag)
+            cv = checks._values(basis, c, cand)
+            better = np.abs(cv) < av
+            if better.any():
+                done = rows[better]
+                Z[done], vals[done] = cand[better], cv[better]
+                improved[own[better]] = True
+                keep = ~better
+                if not keep.any():
+                    break
+                rows, own, z, c, step, t, av, fl = (
+                    a[keep] for a in (rows, own, z, c, step, t, av, fl))
+            t = t * 0.5
+        live &= improved
+    return Z, vals
+
+
+def hunt_pairs(pairs):
+    """Every zero hunt of the pair probes on (p, q) pairs."""
+    for p, q in pairs:
+        check_stable(p + q.scaled(1j), FAST)
+        pencil_probe(p, q, FAST)
+        lemma11_probe(p, q, FAST, members=10)
+
+
+def run_both_descents(monkeypatch):
+    """Make every descent run descent_loop_reference on the same rows too.
+
+    Returns the list that collects, per descent, its result, the
+    reference's result and the line-search rows each evaluated.
+    """
+    runs, rows = [], [0]
+    descend, values = checks._descend_to_zero, checks._values
+
+    def counted(basis, coeffs, Z):
+        rows[0] += len(Z)
+        return values(basis, coeffs, Z)
+
+    def line_search(descent, args):
+        rows[0] = -len(args[3])  # not the first call, which values the starts
+        return descent(*args), rows[0]
+
+    def both(*args):
+        got, n = line_search(descend, args)
+        want, n_ref = line_search(descent_loop_reference, args)
+        runs.append((got, want, n, n_ref))
+        return got
+
+    monkeypatch.setattr(checks, "_values", counted)
+    monkeypatch.setattr(checks, "_descend_to_zero", both)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def corpus_descents():
+    with pytest.MonkeyPatch.context() as mp:
+        runs = run_both_descents(mp)
+        hunt_pairs([(case.p, case.q) for case in pair_cases()])
+    return runs
+
+
+def test_descent_matches_loop_reference_bit_for_bit(monkeypatch, corpus_descents):
+    runs = run_both_descents(monkeypatch)
+    hunt_pairs([(sp(1, {(9,): 1e300}), one(1))])
+    for p in (sp(1, {(4,): 1.0}), sp(1, {(9,): 1.0})):
+        check_stable(p, FAST)
+    for got, want, _, _ in corpus_descents + runs:
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_descent_does_not_retry_stopped_rows(corpus_descents):
+    # a stopped row's next line search would repeat its last one, so the
+    # bit-exact test cannot tell retrying it from retiring it; the work can
+    assert sum(run[2] for run in corpus_descents) < sum(run[3] for run in corpus_descents)
 
 
 def per_member_loop(p, q, cfg, members):
