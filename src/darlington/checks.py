@@ -43,7 +43,8 @@ class SampleConfig:
     imaginary parts log-uniform in [imag_floor, box_radius]; with
     include_edge_points three stress batches of 10 are appended (points at
     the imaginary floor, points on the box walls, points almost on the
-    real axis).
+    real axis).  Needs count >= 1, box_radius > 0 with 2 * box_radius
+    finite, and 0 < imag_floor < box_radius.
     """
 
     seed: int = DEFAULT_SEED
@@ -51,6 +52,17 @@ class SampleConfig:
     box_radius: float = 10.0
     imag_floor: float = 1e-3
     include_edge_points: bool = True
+
+    def __post_init__(self):
+        if not self.count >= 1:
+            raise ValueError("SampleConfig needs count >= 1, got %r" % (self.count,))
+        r = self.box_radius
+        if not (r > 0 and math.isfinite(2 * r)):
+            raise ValueError("SampleConfig needs box_radius > 0 with 2 * box_radius finite, "
+                             "got %r" % (r,))
+        if not 0 < self.imag_floor < r:
+            raise ValueError("SampleConfig needs 0 < imag_floor < box_radius (%r), got %r"
+                             % (r, self.imag_floor))
 
 
 @dataclass(frozen=True)
@@ -264,16 +276,11 @@ def _scalar_poly(p):
     return p
 
 
-def _values(basis, coeffs, Z):
-    """Values at the rows of Z of one polynomial per row, given as its row
-    of ``coeffs`` over the terms of ``basis``'s plan.
-    """
-    return np.einsum("nt,tn->n", coeffs, basis.monomials(Z))
-
-
-def _gradients(basis, coeffs, Z):
-    """The (n, d) gradients at the rows of Z of the polynomials of ``_values``."""
-    return np.einsum("nt,ktn->nk", coeffs, basis.monomials(Z, partials=True)[1])
+def _values(basis, weights, Z):
+    """The (n, j) table ``sum_t weights[r, j, t] * z_r ** e_t`` over the
+    rows z_r of Z and the terms e_t of ``basis``'s plan, in one ``monomials``
+    pass; ``coeffs[:, None]`` as the weights gives the values."""
+    return np.einsum("njt,tn->nj", weights, basis.monomials(Z))
 
 
 def _descend_to_zero(basis, coeffs, owner, Z, floor):
@@ -281,32 +288,37 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
 
     Row r descends on the polynomial ``coeffs[owner[r]]`` (see ``_values``);
     its iterates stay in the open upper poly-half-plane, with imaginary
-    parts clipped at ``floor[owner[r]]``.  Each step tries 8 halvings, and a
-    row stops trying once it improved.  A row stops for good at its first
-    step that does not lower |p|, because its next step would repeat it;
-    all stop after 50 iterations.  Returns the final rows and their values.
+    parts clipped at ``floor[owner[r]] > 0``.  Each point is valued in one
+    ``_values`` pass for p and its Euler terms ``z_k dp/dz_k``, from the
+    weights ``c_t * (1, e_t1, ..., e_td)``, so the try that accepts a point
+    also gives its gradient: no z_k of the upper poly-half-plane is 0.  Each
+    step tries 8 halvings, and a row stops trying once it improved.  A row
+    stops for good at its first step that does not lower |p|, because its
+    next step would repeat it; all stop after 50 iterations.  Returns the
+    final rows and their values.
     """
+    W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
     Z = Z.copy()
-    vals = _values(basis, coeffs[owner], Z)
+    vals = _values(basis, W[owner], Z)
     active = np.ones(len(Z), dtype=bool)
     for _ in range(50):
         rows = np.flatnonzero(active)
         if not len(rows):
             break
         own, z, v = owner[rows], Z[rows], vals[rows]
-        c = coeffs[own]
-        G = _gradients(basis, c, z)
+        w = W[own]
+        G = v[:, 1:] / z
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = gn2 > 1e-300
         step = np.zeros_like(G)
-        step[safe] = -(v[safe, None] * np.conj(G[safe])) / gn2[safe, None]
-        t, av, fl = np.ones(len(rows)), np.abs(v), floor[own, None]
+        step[safe] = -(v[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
+        t, av, fl = np.ones(len(rows)), np.abs(v[:, 0]), floor[own, None]
         active[:] = False
         for _ in range(8):
             cand = z + t[:, None] * step
             np.maximum(cand.imag, fl, out=cand.imag)
-            cv = _values(basis, c, cand)
-            better = np.abs(cv) < av
+            cv = _values(basis, w, cand)
+            better = np.abs(cv[:, 0]) < av
             if better.any():
                 done = rows[better]
                 Z[done], vals[done] = cand[better], cv[better]
@@ -314,10 +326,10 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
                 keep = ~better
                 if not keep.any():
                     break
-                rows, own, z, c, step, t, av, fl = (
-                    a[keep] for a in (rows, own, z, c, step, t, av, fl))
+                rows, z, w, step, t, av, fl = (
+                    a[keep] for a in (rows, z, w, step, t, av, fl))
             t = t * 0.5
-    return Z, vals
+    return Z, vals[:, 0]
 
 
 def _hunt(jobs, tols):
@@ -350,7 +362,7 @@ def _hunt(jobs, tols):
                        for p in polys], dtype=np.complex128)
     pts = [upper_points(cfg, np.random.default_rng(cfg.seed), d) for cfg in cfgs]
     sizes = [len(x) for x in pts]
-    vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0), np.vstack(pts)))
+    vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0)[:, None], np.vstack(pts))[:, 0])
     starts = [x[np.argsort(v)[:20]] for x, v in zip(pts, np.split(vals, np.cumsum(sizes)[:-1]))]
     owner = np.repeat(np.arange(len(polys)), [len(x) for x in starts])
     floor = np.array([cfg.imag_floor * 0.5 for cfg in cfgs])

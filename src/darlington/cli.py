@@ -369,12 +369,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if hasattr(args, "box_radius"):
-        if args.imag_floor >= args.box_radius:
-            parser.error("--imag-floor (%r) must be below --box-radius (%r)"
-                         % (args.imag_floor, args.box_radius))
-        if not math.isfinite(2 * args.box_radius):
-            # points are drawn uniformly from [-box_radius, box_radius]
-            parser.error("--box-radius (%r) is too large" % args.box_radius)
+        try:
+            SampleConfig(box_radius=args.box_radius, imag_floor=args.imag_floor)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         # an overflow ends in a dropped sample or in an error naming it, so
         # numpy's warnings about it would only clutter stderr

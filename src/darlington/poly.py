@@ -275,18 +275,6 @@ class MatrixPoly:
             object.__setattr__(self, "_plan", (self._coeffs[order], tuple(powers)))
         return self._plan
 
-    def _factors(self, Z):
-        """Z as an (n, d) array, and the (T, n, d) table of ``z_k ** e_k``
-        per term, point and variable."""
-        Z = np.asarray(Z, dtype=np.complex128)
-        if Z.ndim != 2 or Z.shape[1] != self.d:
-            raise DimensionMismatch("expected point array of shape (n, %d)" % self.d)
-        coeffs, powers = self._evaluation_plan()
-        factors = np.empty((len(coeffs), Z.shape[0], self.d), dtype=np.complex128)
-        for k, (ks, inv) in enumerate(powers):
-            factors[:, :, k] = (Z[None, :, k] ** ks)[inv]
-        return Z, factors
-
     def evaluate_many(self, Z):
         """Vectorized evaluation.  Z: (n, d) array -> (n, m, m) array.
 
@@ -304,22 +292,17 @@ class MatrixPoly:
             out += mono[j, :, None, None] * a[None, :, :]
         return out
 
-    def monomials(self, Z, partials=False):
-        """Every term's monomial at every point, terms in plan (graded-lex) order.
-
-        Returns the (T, n) array of ``prod(z ** e)``; with ``partials`` also
-        the (d, T, n) array of its derivatives in each variable, from the same
-        power table (``e_k z_k ** (e_k - 1)`` replaces factor k).
-        """
-        Z, factors = self._factors(Z)
-        mono = factors.prod(axis=2)
-        if not partials:
-            return mono
-        grad = np.empty((self.d,) + mono.shape, dtype=np.complex128)
-        for k, (ks, inv) in enumerate(self._evaluation_plan()[1]):
-            others = factors[:, :, [j for j in range(self.d) if j != k]].prod(axis=2)
-            grad[k] = others * (ks * Z[None, :, k] ** np.maximum(ks.real - 1, 0))[inv]
-        return mono, grad
+    def monomials(self, Z):
+        """Every term's monomial ``prod(z ** e)`` at every point, as a (T, n)
+        array, terms in plan (graded-lex) order.  Z: (n, d) array."""
+        Z = np.asarray(Z, dtype=np.complex128)
+        if Z.ndim != 2 or Z.shape[1] != self.d:
+            raise DimensionMismatch("expected point array of shape (n, %d)" % self.d)
+        coeffs, powers = self._evaluation_plan()
+        factors = np.empty((len(coeffs), Z.shape[0], self.d), dtype=np.complex128)
+        for k, (ks, inv) in enumerate(powers):
+            factors[:, :, k] = (Z[None, :, k] ** ks)[inv]
+        return factors.prod(axis=2)
 
     # ------------------------------------------------------------------
     # structure maps

@@ -1,5 +1,6 @@
 """Sampling-based class membership, stability falsification, and the probes."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -291,16 +292,22 @@ def test_lemma11_member_witness_carries_angle():
     assert "theta" in probe.member_witness
 
 
-def descent_reference(p, cfg):
+def descent_reference(p, cfg, euler=True):
     """check_stable's zero hunt as one descent per polynomial, with the
     gradient from differentiate(): the loop the batched descent replaced,
-    kept as its reference.  Returns the best point and value."""
+    kept as its reference.  With ``euler`` the gradient is taken in the
+    batched descent's form, ``(z_k dp/dz_k) / z_k``.  Returns the best point
+    and value."""
     pts = upper_points(cfg, np.random.default_rng(cfg.seed), p.d)
     Z = pts[np.argsort(np.abs(p.evaluate_many(pts)[:, 0, 0]))[:20]]
     grads = [p.differentiate(k) for k in range(p.d)]
+    if euler:
+        grads = [MatrixPoly.variable(p.d, k) * g for k, g in enumerate(grads)]
     vals = p.evaluate_many(Z)[:, 0, 0]
     for _ in range(50):
         G = np.stack([g.evaluate_many(Z)[:, 0, 0] for g in grads], axis=1)
+        if euler:
+            G = G / Z
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = gn2 > 1e-300
         step = np.zeros_like(Z)
@@ -325,7 +332,9 @@ def descent_reference(p, cfg):
 
 def test_batched_descent_matches_reference():
     # the batched descent takes value and gradient from the plan, so it
-    # rounds differently: verdicts agree exactly, points and values to 1e-9
+    # rounds differently: verdicts agree exactly, points and values to 1e-9;
+    # with the plain gradient a descent may end on another zero of the same
+    # variety, so only the verdicts are compared
     polys = []
     for case in pair_cases():
         p, q, d = case.p, case.q, case.p.d
@@ -334,52 +343,122 @@ def test_batched_descent_matches_reference():
                   p.scaled(0.6) + q.scaled(-0.8)]
     for p in polys:
         rep = check_stable(p, FAST)
+        threshold = 1e-10 * p.max_coeff_magnitude()
         point, value = descent_reference(p, FAST)
-        assert (value < 1e-10 * p.max_coeff_magnitude()) == (rep.verdict == "fail")
+        assert (value < threshold) == (rep.verdict == "fail")
         if rep.verdict == "fail":
             got = np.array([complex(*xy) for xy in rep.witness["point"]])
             np.testing.assert_allclose(got, point, rtol=0, atol=1e-9)
         else:
             assert rep.details["refined_abs_value"] == pytest.approx(value, rel=1e-9)
+        _, value = descent_reference(p, FAST, euler=False)
+        assert (value < threshold) == (rep.verdict == "fail")
 
 
-def descent_loop_reference(basis, coeffs, owner, Z, floor):
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_value_and_euler_terms_match_differentiate(d):
+    # the descent's one kernel: column 0 is p, column k is z_k dp/dz_k
+    rng = np.random.default_rng([d, 11])
+    absent = d - 1 if d > 1 else None   # a variable that appears in no term
+    terms = {}
+    for _ in range(8):
+        e = tuple(0 if k == absent else int(x) for k, x in enumerate(rng.integers(0, 5, d)))
+        terms[e] = complex(*rng.standard_normal(2))
+    p = sp(d, terms)
+    cfg = SampleConfig(seed=d, count=20, box_radius=1.0)
+    Z = upper_points(cfg, np.random.default_rng(cfg.seed), d)
+    Z[:5] = Z[:5].real + 0.5j * cfg.imag_floor   # the descent's clipped floor
+    exps = np.array([(1,) + e for e, _ in p.ordered_terms()])
+    coeffs = np.array([a[0, 0] for _, a in p.ordered_terms()])
+    table = checks._values(p, np.repeat((exps * coeffs[:, None]).T[None], len(Z), axis=0), Z)
+    assert table.shape == (len(Z), d + 1)
+    np.testing.assert_allclose(table[:, 0], p.evaluate_many(Z)[:, 0, 0], rtol=1e-12, atol=1e-12)
+    for k in range(d):
+        np.testing.assert_allclose(table[:, k + 1] / Z[:, k],
+                                   p.differentiate(k).evaluate_many(Z)[:, 0, 0],
+                                   rtol=1e-12, atol=1e-12)
+    if absent is not None:
+        assert not table[:, absent + 1].any()
+
+
+@pytest.mark.parametrize("p", [sp(1, {(4,): 1.0}), sp(2, {(1, 0): 1.0, (0, 1): 1.0})])
+def test_tiny_imaginary_floor_keeps_the_hunt_finite(p):
+    # the hunt divides by z_k, and a tiny floor drives coordinates to 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_stable(p, SampleConfig(imag_floor=1e-300))
+    assert np.isfinite(rep.worst_margin)
+
+
+def descent_loop_reference(basis, coeffs, owner, Z, floor, retire=False):
     """_descend_to_zero's loop before stopped rows were retired, kept as its
     reference: a polynomial stays live while any of its rows improved, and
-    every row of a live polynomial is retried."""
+    every row of a live polynomial is retried.  With ``retire`` each row
+    stays live only while it improves, as in _descend_to_zero.  It values
+    the starts once and each line-search try once, carrying every gradient
+    over from the try that accepted its point."""
+    W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
     Z = Z.copy()
-    vals = checks._values(basis, coeffs[owner], Z)
-    live = np.ones(len(coeffs), dtype=bool)
+    vals = checks._values(basis, W[owner], Z)
+    key = np.arange(len(Z)) if retire else owner
+    live = np.ones(len(Z) if retire else len(coeffs), dtype=bool)
     for _ in range(50):
-        rows = np.flatnonzero(live[owner])
+        rows = np.flatnonzero(live[key])
         if not len(rows):
             break
         own, z, v = owner[rows], Z[rows], vals[rows]
-        c = coeffs[own]
-        G = checks._gradients(basis, c, z)
+        w = W[own]
+        G = v[:, 1:] / z
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = gn2 > 1e-300
         step = np.zeros_like(G)
-        step[safe] = -(v[safe, None] * np.conj(G[safe])) / gn2[safe, None]
-        t, av, fl = np.ones(len(rows)), np.abs(v), floor[own, None]
+        step[safe] = -(v[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
+        t, av, fl = np.ones(len(rows)), np.abs(v[:, 0]), floor[own, None]
         improved = np.zeros(len(live), dtype=bool)
         for _ in range(8):
             cand = z + t[:, None] * step
             np.maximum(cand.imag, fl, out=cand.imag)
-            cv = checks._values(basis, c, cand)
-            better = np.abs(cv) < av
+            cv = checks._values(basis, w, cand)
+            better = np.abs(cv[:, 0]) < av
             if better.any():
                 done = rows[better]
                 Z[done], vals[done] = cand[better], cv[better]
-                improved[own[better]] = True
+                improved[key[done]] = True
                 keep = ~better
                 if not keep.any():
                     break
-                rows, own, z, c, step, t, av, fl = (
-                    a[keep] for a in (rows, own, z, c, step, t, av, fl))
+                rows, own, z, w, step, t, av, fl = (
+                    a[keep] for a in (rows, own, z, w, step, t, av, fl))
             t = t * 0.5
         live &= improved
-    return Z, vals
+    return Z, vals[:, 0]
+
+
+def test_descent_makes_one_monomials_pass_per_try(monkeypatch):
+    # the reference makes one monomials pass for the starts and one per
+    # line-search try; a separate gradient pass would add one per iteration
+    captured, descend = [], checks._descend_to_zero
+    monkeypatch.setattr(checks, "_descend_to_zero",
+                        lambda *args: captured.append(args) or descend(*args))
+    for case in pair_cases()[:4]:
+        lemma11_probe(case.p, case.q, FAST, members=10)
+    check_stable(sp(2, {(1, 0): 1.0, (0, 1): -1.0}), FAST)
+    passes, monomials = [0], MatrixPoly.monomials
+
+    def counted(self, Z):
+        passes[0] += 1
+        return monomials(self, Z)
+
+    monkeypatch.setattr(MatrixPoly, "monomials", counted)
+    for args in captured:
+        passes[0] = 0
+        got = descend(*args)
+        n = passes[0]
+        passes[0] = 0
+        want = descent_loop_reference(*args, retire=True)
+        assert n == passes[0] > 2
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def hunt_pairs(pairs):
@@ -580,6 +659,25 @@ def test_sample_config_shapes():
     lean = SampleConfig(count=40, include_edge_points=False)
     rng = np.random.default_rng(lean.seed)
     assert upper_points(lean, rng, 1).shape == (40, 1)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_config_needs_a_positive_count(count):
+    with pytest.raises(ValueError, match="count >= 1, got %d" % count):
+        SampleConfig(count=count)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan"), 1e308])
+def test_sample_config_needs_a_finite_positive_box(radius):
+    with pytest.raises(ValueError, match="box_radius > 0 .*got " + re.escape(repr(radius))):
+        SampleConfig(box_radius=radius, imag_floor=1e-300)
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, 10.0, 20.0, float("nan")])
+def test_sample_config_needs_a_floor_inside_the_box(floor):
+    message = "0 < imag_floor < box_radius (10.0), got %r" % floor
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SampleConfig(imag_floor=floor)
 
 
 def test_right_points_are_upper_points_turned():

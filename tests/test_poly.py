@@ -289,22 +289,6 @@ def test_stack_arithmetic_is_bit_identical_to_term_loops(d, m):
                 assert_same_terms(a.substitute_last(c), term_loop_substitute_last(a, c))
 
 
-@pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_monomial_partials_match_differentiate(d):
-    rng = np.random.default_rng([d, 11])
-    p = rand_poly(rng, d, 1, nterms=8, max_deg=4)
-    Z = rng.uniform(-2, 2, (9, d)) + 1j * rng.uniform(0, 2, (9, d))
-    Z[0] = 0.0   # e * z ** (e - 1) at z = 0, where z ** -1 would divide by zero
-    coeffs = np.array([a[0, 0] for _, a in p.ordered_terms()])
-    mono, grad = p.monomials(Z, partials=True)
-    assert np.array_equal(p.monomials(Z), mono)
-    assert grad.shape == (d, len(coeffs), len(Z))
-    np.testing.assert_allclose(coeffs @ mono, p.evaluate_many(Z)[:, 0, 0], rtol=1e-12, atol=1e-12)
-    for k in range(d):
-        np.testing.assert_allclose(coeffs @ grad[k], p.differentiate(k).evaluate_many(Z)[:, 0, 0],
-                                   rtol=1e-12, atol=1e-12)
-
-
 def test_evaluate_wraps_evaluate_many():
     rng = np.random.default_rng(12)
     p = rand_poly(rng, 2, 2)
