@@ -290,45 +290,49 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
     its iterates stay in the open upper poly-half-plane, with imaginary
     parts clipped at ``floor[owner[r]] > 0``.  Each point is valued in one
     ``_values`` pass for p and its Euler terms ``z_k dp/dz_k``, from the
-    weights ``c_t * (1, e_t1, ..., e_td)``, so the try that accepts a point
-    also gives its gradient: no z_k of the upper poly-half-plane is 0.  Each
-    step tries 8 halvings, and a row stops trying once it improved.  A row
-    stops for good at its first step that does not lower |p|, because its
-    next step would repeat it; all stop after 50 iterations.  Returns the
-    final rows and their values.
+    weights ``c_t * (1, e_t1, ..., e_td)``, so the candidate that a row
+    accepts also gives its gradient: no z_k of the upper poly-half-plane is
+    0.  Each iteration values at most two batches: the full step of every
+    row, then the steps t = 1/2 ... 1/128 together for the rows whose full
+    step moved them without lowering |p|; a row takes the first of these
+    that lowers |p|.  A row stops for good at its first line search that
+    does not lower |p|, because its next one would repeat it; retired rows
+    carry a zero step.  All stop after 50 iterations.  Returns the final
+    rows and their values.
     """
     W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
+    w, fl = W[owner], floor[owner, None]
+    t = 0.5 ** np.arange(8)[:, None, None]    # step sizes 1, 1/2, ..., 1/128
     Z = Z.copy()
-    vals = _values(basis, W[owner], Z)
+    vals = _values(basis, w, Z)
     active = np.ones(len(Z), dtype=bool)
     for _ in range(50):
-        rows = np.flatnonzero(active)
-        if not len(rows):
+        if not active.any():
             break
-        own, z, v = owner[rows], Z[rows], vals[rows]
-        w = W[own]
-        G = v[:, 1:] / z
+        G = vals[:, 1:] / Z
         gn2 = (np.abs(G) ** 2).sum(axis=1)
-        safe = gn2 > 1e-300
+        safe = active & (gn2 > 1e-300)
         step = np.zeros_like(G)
-        step[safe] = -(v[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
-        t, av, fl = np.ones(len(rows)), np.abs(v[:, 0]), floor[own, None]
-        active[:] = False
-        for _ in range(8):
-            cand = z + t[:, None] * step
-            np.maximum(cand.imag, fl, out=cand.imag)
-            cv = _values(basis, w, cand)
-            better = np.abs(cv[:, 0]) < av
-            if better.any():
-                done = rows[better]
-                Z[done], vals[done] = cand[better], cv[better]
-                active[done] = True
-                keep = ~better
-                if not keep.any():
-                    break
-                rows, z, w, step, t, av, fl = (
-                    a[keep] for a in (rows, z, w, step, t, av, fl))
-            t = t * 0.5
+        step[safe] = -(vals[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
+        av = np.abs(vals[:, 0])
+        cand = Z + t[0] * step
+        np.maximum(cand.imag, fl, out=cand.imag)
+        cv = _values(basis, w, cand)
+        better = active & (np.abs(cv[:, 0]) < av)
+        Z[better], vals[better] = cand[better], cv[better]
+        # a full step that lands on the row's own point lands there at every
+        # halving too (rounding is monotone), so only the others are tried
+        h = np.flatnonzero(active & ~better & (cand != Z).any(axis=1))
+        active = better
+        if not len(h):
+            continue
+        cand = Z[h] + t[1:] * step[h]
+        np.maximum(cand.imag, fl[h], out=cand.imag)
+        cv = _values(basis, w[np.tile(h, 7)], cand.reshape(-1, Z.shape[1])).reshape(7, len(h), -1)
+        better = np.abs(cv[:, :, 0]) < av[h]
+        first, took = better.argmax(axis=0), better.any(axis=0)
+        h, first, k = h[took], first[took], np.flatnonzero(took)
+        Z[h], vals[h], active[h] = cand[first, k], cv[first, k], True
     return Z, vals[:, 0]
 
 

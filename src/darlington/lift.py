@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import MatrixPoly
+from .poly import MatrixPoly, NonFiniteCoefficient
 from .rational import RationalMatrixFunction
 
 @dataclass(frozen=True)
@@ -69,7 +69,16 @@ def lift(f):
     z_new = MatrixPoly.variable(d + 1, d)
     num = z_new * pieces.p1.append_variable() + pieces.p2.append_variable()
     den = z_new * pieces.q1.append_variable() + pieces.q2.append_variable()
-    lifted = RationalMatrixFunction(num, den).normalize()
+    try:
+        lifted = RationalMatrixFunction(num, den).normalize()
+    except NonFiniteCoefficient as exc:
+        # the lifted denominator's term (e, 1) is q1's, the imaginary part of
+        # g.den's term e, and (e, 0) is q2's, the real part
+        exps, lead = den.leading_coefficient()
+        raise NonFiniteCoefficient(
+            "lift normalization overflows: a non-finite coefficient after dividing by %r, "
+            "the %s part of the denominator's %r coefficient"
+            % (float(lead[0, 0].real), "imaginary" if exps[-1] else "real", exps[:-1])) from exc
     return DarlingtonLift(g, pieces, lifted)
 
 

@@ -36,6 +36,10 @@ class DimensionMismatch(ValueError):
     wrong variable count, matrix size or coefficient field for its use."""
 
 
+class NonFiniteCoefficient(ValueError):
+    """A coefficient is infinite or NaN, as when an arithmetic step overflowed."""
+
+
 def _grlex_key(exps):
     return (sum(exps), exps)
 
@@ -84,7 +88,7 @@ class MatrixPoly:
         finite = np.isfinite(flat)
         if np.count_nonzero(finite) < finite.size:
             bad = int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise ValueError("non-finite coefficient at %r" % (keys[bad],))
+            raise NonFiniteCoefficient("non-finite coefficient at %r" % (keys[bad],))
         if np.count_nonzero(flat) < flat.size:
             nonzero = flat.any(axis=1)
             keys = [k for k, keep in zip(keys, nonzero.tolist()) if keep]

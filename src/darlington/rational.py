@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import DimensionMismatch, MatrixPoly
+from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
 
 IDENTITY_RTOL = 1e-12
 DEN_FLOOR_RTOL = 1e-12
@@ -63,8 +63,8 @@ class RationalMatrixFunction:
         """Scale so the graded-lex-leading denominator coefficient is 1.
 
         This is the canonical representative used before decomposition and
-        serialization; idempotent.  Raises ValueError, naming the coefficient,
-        when the scaled coefficients overflow.
+        serialization; idempotent.  Raises NonFiniteCoefficient (a ValueError),
+        naming the coefficient, when the scaled coefficients overflow.
         """
         exps, lead = self.den.leading_coefficient()
         c = complex(lead[0, 0])
@@ -74,9 +74,9 @@ class RationalMatrixFunction:
                 return RationalMatrixFunction(
                     self.num.scaled(inv), self.den.scaled(inv), normalized=True
                 )
-        except ValueError as exc:
-            raise ValueError("dividing by the leading denominator coefficient %r at %r "
-                             "overflows: %s" % (c, exps, exc)) from exc
+        except NonFiniteCoefficient as exc:
+            raise NonFiniteCoefficient("dividing by the leading denominator coefficient %r at %r "
+                                       "overflows: %s" % (c, exps, exc)) from exc
 
     def den_floor(self, rtol=DEN_FLOOR_RTOL):
         return rtol * self.den.max_coeff_magnitude()

@@ -20,6 +20,7 @@ roots come from a polynomial of half the degree in s^2.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from .checks import _imag_coeff_excess
 from .lift import decompose
-from .poly import DimensionMismatch, MatrixPoly
+from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
 from .rational import (
     RationalMatrixFunction,
     _coeffs,
@@ -144,6 +145,58 @@ def _split_coupling(v):
     return h.real, float(kappa)
 
 
+def _zero_over(den):
+    return RationalMatrixFunction(MatrixPoly.zero(1, 1), den)
+
+
+def _coupling(pt1, pt2, qt1, qt2, den):
+    """The entries b, c and kappa, with b c = (pt1 qt2 - pt2 qt1) / qt1^2,
+    over den = qt1 / lead(qt1), which has only imaginary-axis zeros."""
+    n = den.total_degree()
+    wn_poly = pt1 * qt2 - pt2 * qt1
+    w_scale = max(
+        pt1.max_coeff_magnitude() * qt2.max_coeff_magnitude(),
+        pt2.max_coeff_magnitude() * qt1.max_coeff_magnitude(),
+        1.0,
+    )
+    if wn_poly.max_coeff_magnitude() <= 1e-13 * w_scale:
+        return _zero_over(den), _zero_over(den), 0.0
+    # b c = wn / qt1^2 = (-1)^(n+1) kappa h(s) h(-s) / den^2
+    lead = complex(qt1.leading_coefficient()[1][0, 0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = (-1) ** (n + 1) * _coeffs(wn_poly)[:, 0, 0] / lead**2
+    if not np.isfinite(v).all():
+        raise NonFiniteCoefficient("non-finite coefficient in the coupling numerator")
+    h, kappa = _split_coupling(v)
+    sk = np.sqrt(kappa)
+    b = RationalMatrixFunction(_poly1(sk * h), den)
+    c = RationalMatrixFunction(_poly1((-1) ** (n + 1) * sk * _negate_argument(h)), den)
+    made = RationalMatrixFunction(b.num * c.num, den * den)
+    wanted = RationalMatrixFunction(wn_poly, qt1 * qt1)
+    if not identity_equal(made, wanted, SPLIT_IDENTITY_RTOL):
+        raise SplitFailed("factored coupling does not reproduce b*c")
+    return b, c, kappa
+
+
+@contextmanager
+def _overflow_names(stage, half):
+    """Re-raise an overflow naming the stage and the input denominator term
+    behind it.  The realization divides only by the leading coefficient of
+    the rotated denominator half ``half`` (None: no division), which has the
+    exponent and the magnitude of a term of the normalized input's
+    denominator."""
+    try:
+        yield
+    except NonFiniteCoefficient as exc:
+        if half is None:
+            raise NonFiniteCoefficient("%s overflows: a product of input coefficients leaves "
+                                       "a non-finite coefficient" % stage) from exc
+        exps, lead = half.leading_coefficient()
+        raise NonFiniteCoefficient(
+            "%s overflows: a non-finite coefficient after dividing by %r, the magnitude of "
+            "the denominator's %r coefficient" % (stage, float(abs(lead[0, 0])), exps)) from exc
+
+
 def realize_1d(f):
     """Lossless 2 x 2 embedding of a scalar one-variable positive-real function.
 
@@ -170,49 +223,34 @@ def realize_1d(f):
     qt1 = pieces.q1.scale_variables([1j])
     qt2 = pieces.q2.scale_variables([1j]).scaled(-1j)
 
-    def zero_over(den):
-        return RationalMatrixFunction(MatrixPoly.zero(1, 1), den)
-
+    # every division below is by the leading coefficient of ``half``
     if pieces.q1.is_zero():
         if pieces.p1.is_zero():
-            zero = zero_over(source.den)
+            half = None
+            zero = _zero_over(source.den)
             real = LFTRealization(
                 "lossless-trivial", source, zero, zero, zero, None, None, source,
             )
         else:
-            a = RationalMatrixFunction(pt2, qt2).normalize()
-            residual = RationalMatrixFunction(pt1, qt2).normalize()
-            zero = zero_over(a.den)
+            half = qt2
+            with _overflow_names("block normalization", half):
+                a = RationalMatrixFunction(pt2, qt2).normalize()
+                residual = RationalMatrixFunction(pt1, qt2).normalize()
+            zero = _zero_over(a.den)
             real = LFTRealization(
                 "affine-residual", a, zero, zero, zero, None, residual, source,
             )
     else:
-        a = RationalMatrixFunction(pt1, qt1).normalize()
-        dvar = RationalMatrixFunction(qt2, qt1).normalize()
-        den = a.den  # qt1 / lead(qt1): only imaginary-axis zeros
-        n = den.total_degree()
-        wn_poly = pt1 * qt2 - pt2 * qt1
-        w_scale = max(
-            pt1.max_coeff_magnitude() * qt2.max_coeff_magnitude(),
-            pt2.max_coeff_magnitude() * qt1.max_coeff_magnitude(),
-            1.0,
-        )
-        if wn_poly.max_coeff_magnitude() <= 1e-13 * w_scale:
-            b = c = zero_over(den)
-            kappa = 0.0
-        else:
-            # b c = wn / qt1^2 = (-1)^(n+1) kappa h(s) h(-s) / den^2
-            lead = complex(qt1.leading_coefficient()[1][0, 0])
-            h, kappa = _split_coupling((-1) ** (n + 1) * _coeffs(wn_poly)[:, 0, 0] / lead**2)
-            sk = np.sqrt(kappa)
-            b = RationalMatrixFunction(_poly1(sk * h), den)
-            c = RationalMatrixFunction(_poly1((-1) ** (n + 1) * sk * _negate_argument(h)), den)
-            made = RationalMatrixFunction(b.num * c.num, den * den)
-            wanted = RationalMatrixFunction(wn_poly, qt1 * qt1)
-            if not identity_equal(made, wanted, SPLIT_IDENTITY_RTOL):
-                raise SplitFailed("factored coupling does not reproduce b*c")
+        half = qt1
+        with _overflow_names("block normalization", half):
+            a = RationalMatrixFunction(pt1, qt1).normalize()
+            dvar = RationalMatrixFunction(qt2, qt1).normalize()
+        with _overflow_names("coupling numerator", half):
+            b, c, kappa = _coupling(pt1, pt2, qt1, qt2, a.den)
         real = LFTRealization("lft", a, b, c, dvar, kappa, None, source)
 
-    if not identity_equal(real.closure(), source, SPLIT_IDENTITY_RTOL):
+    with _overflow_names("closure", half):
+        closed = identity_equal(real.closure(), source, SPLIT_IDENTITY_RTOL)
+    if not closed:
         raise ReconstructionMismatch("loop closure does not reproduce the input")
     return real

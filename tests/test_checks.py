@@ -390,13 +390,16 @@ def test_tiny_imaginary_floor_keeps_the_hunt_finite(p):
     assert np.isfinite(rep.worst_margin)
 
 
-def descent_loop_reference(basis, coeffs, owner, Z, floor, retire=False):
+def descent_loop_reference(basis, coeffs, owner, Z, floor, retire=False, log=None):
     """_descend_to_zero's loop before stopped rows were retired, kept as its
     reference: a polynomial stays live while any of its rows improved, and
     every row of a live polynomial is retried.  With ``retire`` each row
     stays live only while it improves, as in _descend_to_zero.  It values
-    the starts once and each line-search try once, carrying every gradient
-    over from the try that accepted its point."""
+    the starts once and each line-search try once, one try per step size,
+    carrying every gradient over from the try that accepted its point.  A
+    ``log`` list receives one ``(halving, stayed, better)`` per try: the
+    try's index 0-7 and, per row tried, whether its candidate is its own
+    point and whether the candidate lowered |p|."""
     W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
     Z = Z.copy()
     vals = checks._values(basis, W[owner], Z)
@@ -415,11 +418,13 @@ def descent_loop_reference(basis, coeffs, owner, Z, floor, retire=False):
         step[safe] = -(v[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
         t, av, fl = np.ones(len(rows)), np.abs(v[:, 0]), floor[own, None]
         improved = np.zeros(len(live), dtype=bool)
-        for _ in range(8):
+        for halving in range(8):
             cand = z + t[:, None] * step
             np.maximum(cand.imag, fl, out=cand.imag)
             cv = checks._values(basis, w, cand)
             better = np.abs(cv[:, 0]) < av
+            if log is not None:
+                log.append((halving, (cand == z).all(axis=1), better))
             if better.any():
                 done = rows[better]
                 Z[done], vals[done] = cand[better], cv[better]
@@ -434,15 +439,26 @@ def descent_loop_reference(basis, coeffs, owner, Z, floor, retire=False):
     return Z, vals[:, 0]
 
 
-def test_descent_makes_one_monomials_pass_per_try(monkeypatch):
-    # the reference makes one monomials pass for the starts and one per
-    # line-search try; a separate gradient pass would add one per iteration
+def capture_descents(monkeypatch, run):
+    """The arguments of every descent that ``run()`` makes."""
     captured, descend = [], checks._descend_to_zero
     monkeypatch.setattr(checks, "_descend_to_zero",
                         lambda *args: captured.append(args) or descend(*args))
-    for case in pair_cases()[:4]:
-        lemma11_probe(case.p, case.q, FAST, members=10)
-    check_stable(sp(2, {(1, 0): 1.0, (0, 1): -1.0}), FAST)
+    run()
+    monkeypatch.setattr(checks, "_descend_to_zero", descend)
+    return captured
+
+
+def test_descent_makes_at_most_two_monomials_passes_per_iteration(monkeypatch):
+    # one monomials pass values the starts; each iteration adds one for the
+    # full step and at most one for the seven halvings together, where the
+    # reference makes one per try
+    def run():
+        for case in pair_cases()[:4]:
+            lemma11_probe(case.p, case.q, FAST, members=10)
+        check_stable(sp(2, {(1, 0): 1.0, (0, 1): -1.0}), FAST)
+
+    captured = capture_descents(monkeypatch, run)
     passes, monomials = [0], MatrixPoly.monomials
 
     def counted(self, Z):
@@ -450,15 +466,95 @@ def test_descent_makes_one_monomials_pass_per_try(monkeypatch):
         return monomials(self, Z)
 
     monkeypatch.setattr(MatrixPoly, "monomials", counted)
+    total, total_ref = 0, 0
     for args in captured:
-        passes[0] = 0
-        got = descend(*args)
+        passes[0], tries = 0, []
+        got = checks._descend_to_zero(*args)
         n = passes[0]
         passes[0] = 0
-        want = descent_loop_reference(*args, retire=True)
-        assert n == passes[0] > 2
+        want = descent_loop_reference(*args, retire=True, log=tries)
+        iterations = sum(halving == 0 for halving, _, _ in tries)
+        assert n <= 1 + 2 * iterations
+        assert n <= passes[0]   # equal only in a descent cut off at 50 iterations
+        total, total_ref = total + n, total_ref + passes[0]
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
+    assert total < total_ref
+
+
+def test_rows_whose_full_step_stays_put_skip_the_halvings(monkeypatch):
+    # a full step that lands on the row's own point (clipped back onto the
+    # floor, or a zero step) lands there at every halving, so the row retires
+    # without the halvings batch.  Every row is valued once per iteration for
+    # the full step, and seven times for the halvings if it moved but did not
+    # improve.  The hunts of z1^4 and z1^9 improve at every full step; the
+    # corpus hunts have rows that stay put.
+    def run():
+        for p in (sp(1, {(4,): 1.0}), sp(1, {(9,): 1.0})):
+            check_stable(p, FAST)
+        for case in pair_cases():
+            check_stable(case.p + case.q.scaled(1j), FAST)
+
+    captured = capture_descents(monkeypatch, run)
+    rows, values = [0], checks._values
+
+    def counted(basis, weights, Z):
+        rows[0] += len(Z)
+        return values(basis, weights, Z)
+
+    monkeypatch.setattr(checks, "_values", counted)
+    stayed = 0
+    for args in captured:
+        rows[0], tries = 0, []
+        got = checks._descend_to_zero(*args)
+        valued = rows[0]
+        want = descent_loop_reference(*args, retire=True, log=tries)
+        full = [(same, better) for halving, same, better in tries if halving == 0]
+        halved = sum(int((~same & ~better).sum()) for same, better in full)
+        stayed += sum(int(same.sum()) for same, _ in full)
+        assert valued == len(args[3]) * (1 + len(full)) + 7 * halved
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    assert stayed
+
+
+def test_halvings_batch_takes_the_first_improving_halving(monkeypatch):
+    # a row takes the first halving that lowers |p|, as the per-try loop did,
+    # not the lowest one.  Each start of a corpus hunt descends alone; once a
+    # halvings batch has a later halving lower than the first improving one,
+    # every further _values call gives NaN, so the descent stops at the point
+    # that batch gave it
+    case = next(case for case in pair_cases() if case.name == "planted-factor-1var")
+    captured = capture_descents(monkeypatch, lambda: check_stable(case.p + case.q.scaled(1j), FAST))
+    values = checks._values
+    state = {}
+
+    def stop_after_a_choice(basis, weights, Z):
+        out = values(basis, weights, Z)
+        if "taken" in state:
+            return np.full_like(out, np.nan)
+        a = np.abs(out[:, 0])
+        if len(Z) == 7:     # the halvings batch of the one row
+            better = np.flatnonzero(a < state["av"])
+            if len(better) > 1 and a[better[1:]].min() < a[better[0]]:
+                state["taken"] = Z[better[0]]
+            if len(better):
+                state["av"] = a[better[0]]
+        elif "av" not in state or a[0] < state["av"]:
+            state["av"] = a[0]      # the start, or a full step that improved
+        return out
+
+    monkeypatch.setattr(checks, "_values", stop_after_a_choice)
+    found = 0
+    for basis, coeffs, owner, Z, floor in captured:
+        for r in range(len(Z)):
+            state.clear()
+            with np.errstate(all="ignore"):
+                got, _ = checks._descend_to_zero(basis, coeffs, owner[r:r + 1], Z[r:r + 1], floor)
+            if "taken" in state:
+                found += 1
+                assert got[0].tobytes() == state["taken"].tobytes()
+    assert found
 
 
 def hunt_pairs(pairs):
@@ -517,7 +613,9 @@ def test_descent_matches_loop_reference_bit_for_bit(monkeypatch, corpus_descents
 
 def test_descent_does_not_retry_stopped_rows(corpus_descents):
     # a stopped row's next line search would repeat its last one, so the
-    # bit-exact test cannot tell retrying it from retiring it; the work can
+    # bit-exact test cannot tell retrying it from retiring it; the work can.
+    # Retired rows may be valued in the full-step batch, but they carry a
+    # zero step and are never accepted.
     assert sum(run[2] for run in corpus_descents) < sum(run[3] for run in corpus_descents)
 
 

@@ -412,12 +412,24 @@ def test_normalization_overflow_exits_2(tmp_path, capsys):
 
 # 1e10 / (z1 + 1e-300i z2): the lift divides by the 1e-300i coefficient
 TINY_COEFF = RationalMatrixFunction(sp(2, {(0, 0): 1e10}), sp(2, {(1, 0): 1.0, (0, 1): 1e-300j}))
+# each names its stage and an exponent of the input, with d entries, not one
+# of an intermediate polynomial: (0, 1, 1) of the lifted denominator, or (4,)
+# of a product in the closure
+LIFT_OVERFLOW = ("lift normalization overflows: a non-finite coefficient after dividing by "
+                 "1e-300, the imaginary part of the denominator's (0, 1) coefficient")
+OVERFLOW_ERRORS = {
+    "lift": LIFT_OVERFLOW,
+    "verify": LIFT_OVERFLOW,
+    "realize1d": "closure overflows: a non-finite coefficient after dividing by 1e-300, "
+                 "the magnitude of the denominator's (1,) coefficient",
+}
 
 
 @pytest.mark.parametrize("command, frame, f", [
     ("lift", "nevanlinna", TINY_COEFF),
     ("verify", "nevanlinna", TINY_COEFF),
-    # 1e10 s / (s^2 + 1e-300 s + 1): the coupling numerator overflows
+    # 1e10 s / (s^2 + 1e-300 s + 1): the realization divides by the 1e-300
+    # coefficient, and its closure overflows
     ("realize1d", "positive-real", RationalMatrixFunction(
         sp(1, {(1,): 1e10}), sp(1, {(2,): 1.0, (1,): 1e-300, (0,): 1.0}))),
 ])
@@ -428,8 +440,23 @@ def test_coefficient_overflow_in_a_command_exits_2(tmp_path, capsys, command, fr
         code = main([command, path])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and "non-finite coefficient" in captured.err
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err == "error: %s\n" % OVERFLOW_ERRORS[command]
+
+
+def test_coupling_overflow_exits_2(tmp_path, capsys):
+    # (s + 1) / (s^2 + 1e-300 s + 1): the coupling numerator is divided by
+    # (1e-300)^2, which is 0 in floating point; this ended in an IndexError
+    f = RationalMatrixFunction(sp(1, {(1,): 1.0, (0,): 1.0}),
+                               sp(1, {(2,): 1.0, (1,): 1e-300, (0,): 1.0}))
+    path = write(tmp_path, "overflow.json", f, "positive-real")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["realize1d", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: coupling numerator overflows: a non-finite coefficient after "
+                            "dividing by 1e-300, the magnitude of the denominator's (1,) "
+                            "coefficient\n")
 
 
 @pytest.mark.parametrize("argv, code", [
