@@ -155,6 +155,14 @@ def _trim(u, tol):
     return u[:n]
 
 
+def _sub(u, v):
+    """Coefficients of u - v, the shorter array padded with zeros."""
+    out = np.zeros(max(len(u), len(v)), dtype=np.result_type(u, v))
+    out[:len(u)] = u
+    out[:len(v)] -= v
+    return out
+
+
 def _coeffs(p):
     """Coefficients of a univariate MatrixPoly, as an (n, m, m) stack (one
     zero matrix when it is zero)."""

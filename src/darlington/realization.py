@@ -1,21 +1,23 @@
 """Lossless linear-fractional realization of a scalar positive-real function.
 
-For a rational f of one variable with nonnegative real part on the right
-half-plane, realize_1d produces four rational functions a, b, c, d such
-that the block [[a, b], [c, d]] is again positive-real and closing the
-loop with a unit load recovers the input:
+For a rational f = num/den of one variable with nonnegative real part on
+the right half-plane, realize_1d produces a, b, c, d such that the block
+[[a, b], [c, d]] is again positive-real and closing the loop with a unit
+load recovers the input: f(s) = a(s) - b(s) c(s) / (d(s) + 1).
 
-    f(s) = a(s) - b(s) c(s) / (d(s) + 1).
-
-The route goes through the one-variable lift: rotate to the upper
-half-plane frame, split numerator and denominator into coefficient
-halves p1, p2, q1, q2 and rotate the pencil back.  Then a = p1/q1 and
-d = q2/q1.  The zeros of q1 interlace with those of q2 (Hermite-Biehler),
-so they lie on the imaginary axis, and den = q1/lead(q1) is the exact
-denominator factor of the coupling term w = b*c across s -> -s: all four
-entries share it.  Only the coupling numerator is factored, as
-kappa h(s) h(-s) with h real and Hurwitz: it is real and even, so its
-roots come from a polynomial of half the degree in s^2.
+With n = deg den, pt1 and qt2 are the parts of the normalized real num and
+den whose degrees have the parity of n, and pt2 and qt1 are the other
+parts.  Then a = pt1/qt1, d = qt2/qt1 and b c = (pt1 qt2 - pt2 qt1)/qt1^2,
+so the closure is (pt1 + pt2)/(qt1 + qt2) = f.  The four parts are the
+one-variable lift's halves p1, p2, q1, q2 rotated back to this frame, each
+times one unit constant that every ratio cancels (a tested fact).  The
+zeros of qt1 interlace with those of qt2 (Hermite-Biehler), so they lie on
+the imaginary axis, and den = qt1/lead(qt1) is the exact denominator
+factor of b*c across s -> -s: all four entries share it.  Only the coupling
+numerator is factored, as kappa h(s) h(-s) with h real and Hurwitz; it is
+even, so its roots come from a polynomial of half its degree in s^2.  All
+of this runs on real coefficient arrays; MatrixPoly appears only in the
+returned entries.
 """
 
 from __future__ import annotations
@@ -26,18 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import _imag_coeff_excess
-from .lift import decompose
+from .checks import _imag_coeff_excess, _quiet
 from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
-from .rational import (
-    RationalMatrixFunction,
-    _coeffs,
-    _negate_argument,
-    _poly1,
-    _trim,
-    identity_equal,
-    rotate_to_nevanlinna,
-)
+from .rational import RationalMatrixFunction, _coeffs, _negate_argument, _poly1, _sub, _trim
 
 SPLIT_STRUCTURE_RTOL = 1e-7
 SPLIT_IDENTITY_RTOL = 1e-7
@@ -53,6 +46,11 @@ class SplitFailed(ArithmeticError):
 
 class ReconstructionMismatch(ArithmeticError):
     """The assembled block failed to reproduce the input exactly."""
+
+
+def _scalar(p):
+    """Ascending coefficients of a scalar univariate MatrixPoly."""
+    return _coeffs(p)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -87,6 +85,18 @@ class LFTRealization:
                 terms[e][divmod(k, 2)] = arr[0, 0]
         return RationalMatrixFunction(MatrixPoly(1, 2, terms), self.a.den)
 
+    def _closed(self):
+        """Numerator and denominator coefficients of the loop closure."""
+        num, den = _scalar(self.a.num), _scalar(self.a.den)
+        if self.variant == "lossless-trivial":
+            return num, den
+        if self.variant == "affine-residual":
+            return _sub(num, -_scalar(self.residual.num)), den
+        shifted = _sub(den, -_scalar(self.d.num))  # (d + 1) den
+        return (_sub(np.convolve(num, shifted),
+                     np.convolve(_scalar(self.b.num), _scalar(self.c.num))),
+                np.convolve(den, shifted))
+
     def closure(self):
         """The loop closure as one exact rational function.
 
@@ -95,36 +105,32 @@ class LFTRealization:
         """
         if self.variant == "lossless-trivial":
             return self.a
-        den = self.a.den
-        if self.variant == "affine-residual":
-            return RationalMatrixFunction(self.a.num + self.residual.num, den)
-        shifted = den + self.d.num  # (d + 1) den
-        return RationalMatrixFunction(self.a.num * shifted - self.b.num * self.c.num,
-                                      den * shifted)
+        return RationalMatrixFunction(*map(_poly1, self._closed()))
 
 
-def _force_real_even(u, what):
-    """Check a coefficient array is real and even within tolerance, then force it."""
-    scale = np.abs(u).max()
-    if scale == 0.0:
-        return u.real
-    if np.abs(u.imag).max() > SPLIT_STRUCTURE_RTOL * scale:
-        raise SplitFailed("%s is not real within tolerance" % what)
-    v = u.real.copy()
-    odd = v[1::2]
-    if odd.size and np.abs(odd).max() > SPLIT_STRUCTURE_RTOL * scale:
-        raise SplitFailed("%s is not even within tolerance" % what)
-    v[1::2] = 0.0
-    return v
+def _identity_holds(num_f, den_f, num_h, den_h, rtol):
+    """identity_equal's rule on coefficient arrays: whether num_f*den_h -
+    num_h*den_f is within rtol of the largest operand coefficient.  Raises
+    NonFiniteCoefficient when the cross product overflows."""
+    diff = _sub(np.convolve(num_f, den_h), np.convolve(num_h, den_f))
+    if not np.isfinite(diff).all():
+        raise NonFiniteCoefficient("non-finite coefficient in a cross product")
+    scale = max(np.abs(u).max() for u in (num_f, den_f, num_h, den_h))
+    return bool(np.abs(diff).max() <= rtol * scale)
+
+
+def _over(u, den):
+    """The entry with numerator coefficients u over den, a monic MatrixPoly."""
+    return RationalMatrixFunction(_poly1(u), den, normalized=True)
 
 
 def _split_coupling(v):
-    """Factor v = kappa h(s) h(-s) with h real, monic and Hurwitz, kappa > 0.
+    """Factor the real even v = kappa h(s) h(-s) with h real, monic and
+    Hurwitz, kappa > 0.
 
-    v is even, v(s) = U(s^2), so h has the roots -sqrt(u) over the roots u
-    of U, and h(s) h(-s) = (-1)^deg h U(s^2) / lead(U).  Returns (h, kappa).
+    v(s) = U(s^2), so h has the roots -sqrt(u) over the roots u of U, and
+    h(s) h(-s) = (-1)^deg h U(s^2) / lead(U).  Returns (h, kappa).
     """
-    v = _force_real_even(v, "coupling numerator")
     u = _trim(v[0::2], 1e-12 * np.abs(v).max())
     roots = np.roots(u[::-1]).astype(np.complex128)
     r = -np.sqrt(roots)
@@ -139,41 +145,31 @@ def _split_coupling(v):
         raise SplitFailed("stable numerator factor did not come out real")
     kappa = (-1) ** (len(u) - 1) * u[-1]
     if kappa <= 0.0:
-        raise SplitFailed(
-            "coupling constant %r is not positive; input is likely not positive-real" % kappa
-        )
+        raise SplitFailed("coupling constant %r is not positive; input is likely not "
+                          "positive-real" % kappa)
     return h.real, float(kappa)
 
 
-def _zero_over(den):
-    return RationalMatrixFunction(MatrixPoly.zero(1, 1), den)
-
-
 def _coupling(pt1, pt2, qt1, qt2, den):
-    """The entries b, c and kappa, with b c = (pt1 qt2 - pt2 qt1) / qt1^2,
-    over den = qt1 / lead(qt1), which has only imaginary-axis zeros."""
-    n = den.total_degree()
-    wn_poly = pt1 * qt2 - pt2 * qt1
-    w_scale = max(
-        pt1.max_coeff_magnitude() * qt2.max_coeff_magnitude(),
-        pt2.max_coeff_magnitude() * qt1.max_coeff_magnitude(),
-        1.0,
-    )
-    if wn_poly.max_coeff_magnitude() <= 1e-13 * w_scale:
-        return _zero_over(den), _zero_over(den), 0.0
-    # b c = wn / qt1^2 = (-1)^(n+1) kappa h(s) h(-s) / den^2
-    lead = complex(qt1.leading_coefficient()[1][0, 0])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v = (-1) ** (n + 1) * _coeffs(wn_poly)[:, 0, 0] / lead**2
-    if not np.isfinite(v).all():
+    """The numerators of b and c, and kappa, with
+    b c = (pt1 qt2 - pt2 qt1) / qt1^2 over den = qt1 / lead(qt1), which has
+    only imaginary-axis zeros.  qt1 has a nonzero top coefficient."""
+    wn = _sub(np.convolve(pt1, qt2), np.convolve(pt2, qt1))
+    w_scale = max(np.abs(pt1).max() * np.abs(qt2).max(), np.abs(pt2).max() * np.abs(qt1).max())
+    if np.isfinite(wn).all() and np.abs(wn).max() <= 1e-13 * w_scale:
+        return np.zeros(1), np.zeros(1), 0.0
+    # b c = wn / qt1^2 = (-1)^(n+1) kappa h(s) h(-s) / den^2; both products
+    # of same-parity parts are even, so v is even with exact zeros
+    n = len(qt1) - 1
+    v = (-1) ** (n + 1) * wn / qt1[-1] ** 2
+    # a nonzero wn that comes out all zeros lost its divisor to overflow
+    if not (np.isfinite(v).all() and v.any()):
         raise NonFiniteCoefficient("non-finite coefficient in the coupling numerator")
     h, kappa = _split_coupling(v)
     sk = np.sqrt(kappa)
-    b = RationalMatrixFunction(_poly1(sk * h), den)
-    c = RationalMatrixFunction(_poly1((-1) ** (n + 1) * sk * _negate_argument(h)), den)
-    made = RationalMatrixFunction(b.num * c.num, den * den)
-    wanted = RationalMatrixFunction(wn_poly, qt1 * qt1)
-    if not identity_equal(made, wanted, SPLIT_IDENTITY_RTOL):
+    b, c = sk * h, (-1) ** (n + 1) * sk * _negate_argument(h)
+    if not _identity_holds(np.convolve(b, c), np.convolve(den, den),
+                           wn, np.convolve(qt1, qt1), SPLIT_IDENTITY_RTOL):
         raise SplitFailed("factored coupling does not reproduce b*c")
     return b, c, kappa
 
@@ -181,29 +177,29 @@ def _coupling(pt1, pt2, qt1, qt2, den):
 @contextmanager
 def _overflow_names(stage, half):
     """Re-raise an overflow naming the stage and the input denominator term
-    behind it.  The realization divides only by the leading coefficient of
-    the rotated denominator half ``half`` (None: no division), which has the
-    exponent and the magnitude of a term of the normalized input's
-    denominator."""
+    behind it: the realization divides only by the leading coefficient of
+    ``half`` (None: no division), a term of the normalized denominator."""
     try:
         yield
     except NonFiniteCoefficient as exc:
         if half is None:
             raise NonFiniteCoefficient("%s overflows: a product of input coefficients leaves "
                                        "a non-finite coefficient" % stage) from exc
-        exps, lead = half.leading_coefficient()
         raise NonFiniteCoefficient(
             "%s overflows: a non-finite coefficient after dividing by %r, the magnitude of "
-            "the denominator's %r coefficient" % (stage, float(abs(lead[0, 0])), exps)) from exc
+            "the denominator's %r coefficient"
+            % (stage, float(abs(half[-1])), (len(half) - 1,))) from exc
 
 
+@_quiet
 def realize_1d(f):
     """Lossless 2 x 2 embedding of a scalar one-variable positive-real function.
 
     Returns an LFTRealization whose loop closure equals f as an exact
     rational identity (checked; ReconstructionMismatch otherwise).  Raises
     DimensionMismatch unless f is scalar, of one variable and, once
-    normalized, has real coefficients.
+    normalized, has real coefficients.  An overflow raises
+    NonFiniteCoefficient naming the stage, without a numpy warning.
     """
     if f.m != 1:
         raise DimensionMismatch("input is %d x %d; the one-variable realization is scalar"
@@ -215,42 +211,36 @@ def realize_1d(f):
     if imag:
         raise DimensionMismatch("input has non-real coefficients (largest imaginary part %r "
                                 "after normalization); the realization needs real ones" % imag)
-    pieces = decompose(rotate_to_nevanlinna(source))
-
-    # rotate the pencil halves back to the right-half-plane frame
-    pt1 = pieces.p1.scale_variables([1j]).scaled(-1j)
-    pt2 = pieces.p2.scale_variables([1j]).scaled(-1.0)
-    qt1 = pieces.q1.scale_variables([1j])
-    qt2 = pieces.q2.scale_variables([1j]).scaled(-1j)
+    # the parts of num and den whose degrees have the parity of deg den, then the others
+    num, den = _scalar(source.num), _scalar(source.den)
+    pt1, qt2 = (np.where(np.arange(len(u)) % 2 == (len(den) - 1) % 2, u.real, 0.0)
+                for u in (num, den))
+    pt2, qt1 = num.real - pt1, den.real - qt2
 
     # every division below is by the leading coefficient of ``half``
-    if pieces.q1.is_zero():
-        if pieces.p1.is_zero():
-            half = None
-            zero = _zero_over(source.den)
-            real = LFTRealization(
-                "lossless-trivial", source, zero, zero, zero, None, None, source,
-            )
-        else:
-            half = qt2
-            with _overflow_names("block normalization", half):
-                a = RationalMatrixFunction(pt2, qt2).normalize()
-                residual = RationalMatrixFunction(pt1, qt2).normalize()
-            zero = _zero_over(a.den)
-            real = LFTRealization(
-                "affine-residual", a, zero, zero, zero, None, residual, source,
-            )
-    else:
-        half = qt1
+    if not qt1.any() and not pt1.any():
+        half = None
+        zero = _over([], source.den)
+        real = LFTRealization("lossless-trivial", source, zero, zero, zero, None, None, source)
+    elif not qt1.any():
+        half = qt2
         with _overflow_names("block normalization", half):
-            a = RationalMatrixFunction(pt1, qt1).normalize()
-            dvar = RationalMatrixFunction(qt2, qt1).normalize()
+            den1 = _poly1(half / half[-1])
+            a, residual = _over(pt2 / half[-1], den1), _over(pt1 / half[-1], den1)
+        zero = _over([], den1)
+        real = LFTRealization("affine-residual", a, zero, zero, zero, None, residual, source)
+    else:
+        half = _trim(qt1, 0.0)
+        with _overflow_names("block normalization", half):
+            den1 = _poly1(half / half[-1])
+            a, dvar = _over(pt1 / half[-1], den1), _over(qt2 / half[-1], den1)
         with _overflow_names("coupling numerator", half):
-            b, c, kappa = _coupling(pt1, pt2, qt1, qt2, a.den)
-        real = LFTRealization("lft", a, b, c, dvar, kappa, None, source)
+            bn, cn, kappa = _coupling(pt1, pt2, half, qt2, half / half[-1])
+        real = LFTRealization("lft", a, _over(bn, den1), _over(cn, den1), dvar, kappa, None,
+                              source)
 
     with _overflow_names("closure", half):
-        closed = identity_equal(real.closure(), source, SPLIT_IDENTITY_RTOL)
+        closed = _identity_holds(*real._closed(), num, den, SPLIT_IDENTITY_RTOL)
     if not closed:
         raise ReconstructionMismatch("loop closure does not reproduce the input")
     return real

@@ -420,16 +420,16 @@ LIFT_OVERFLOW = ("lift normalization overflows: a non-finite coefficient after d
 OVERFLOW_ERRORS = {
     "lift": LIFT_OVERFLOW,
     "verify": LIFT_OVERFLOW,
-    "realize1d": "closure overflows: a non-finite coefficient after dividing by 1e-300, "
-                 "the magnitude of the denominator's (1,) coefficient",
+    "realize1d": "coupling numerator overflows: a non-finite coefficient after dividing by "
+                 "1e-300, the magnitude of the denominator's (1,) coefficient",
 }
 
 
 @pytest.mark.parametrize("command, frame, f", [
     ("lift", "nevanlinna", TINY_COEFF),
     ("verify", "nevanlinna", TINY_COEFF),
-    # 1e10 s / (s^2 + 1e-300 s + 1): the realization divides by the 1e-300
-    # coefficient, and its closure overflows
+    # 1e10 s / (s^2 + 1e-300 s + 1): the realization divides its 1e-290
+    # coupling numerator by the square of the 1e-300 coefficient
     ("realize1d", "positive-real", RationalMatrixFunction(
         sp(1, {(1,): 1e10}), sp(1, {(2,): 1.0, (1,): 1e-300, (0,): 1.0}))),
 ])

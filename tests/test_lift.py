@@ -1,5 +1,7 @@
 """Lift to one more variable, and the one-variable lossless embedding."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,10 @@ from darlington import (
     rotate_to_positive_real,
 )
 from darlington.lift import decompose
-from corpus import herglotz_cases
+from darlington.poly import NonFiniteCoefficient
+from darlington.rational import _coeffs
+from darlington.realization import SPLIT_IDENTITY_RTOL, _identity_holds
+from corpus import herglotz_cases, ladder_cases
 
 
 def sp(d, coeffs):
@@ -208,16 +213,109 @@ def test_realize_degenerate_coupling():
     assert identity_equal(real.closure(), real.source)
 
 
+def real_rotated_herglotz_cases():
+    """The scalar one-variable corpus functions that have real coefficients
+    once rotated to the right-half-plane frame."""
+    for case in herglotz_cases():
+        if case.f.m == 1 and case.f.d == 1:
+            g = rotate_to_positive_real(case.f)
+            if g.num.has_real_coeffs() and g.den.has_real_coeffs():
+                yield case.name, g
+
+
 def test_realize_round_trips_through_rotation():
     # the upper-half-plane corpus, moved to the right-half-plane frame
-    for case in herglotz_cases():
-        if case.f.m != 1 or case.f.d != 1:
-            continue
-        g = rotate_to_positive_real(case.f)
-        if not g.num.has_real_coeffs() or not g.den.has_real_coeffs():
-            continue
+    for name, g in real_rotated_herglotz_cases():
         real = realize_1d(g)
-        assert identity_equal(real.closure(), g.normalize(), rtol=1e-7), case.name
+        assert identity_equal(real.closure(), g.normalize(), rtol=1e-7), name
+
+
+def lift_halves(source):
+    """The pencil halves by the lift: decompose in the upper half-plane
+    frame, then rotate each half back with its own phase."""
+    pieces = decompose(rotate_to_nevanlinna(source))
+    halves = (pieces.p1.scale_variables([1j]).scaled(-1j),
+              pieces.p2.scale_variables([1j]).scaled(-1.0),
+              pieces.q1.scale_variables([1j]),
+              pieces.q2.scale_variables([1j]).scaled(-1j))
+    return [_coeffs(h)[:, 0, 0] for h in halves]
+
+
+def parity_parts(source):
+    """pt1, pt2, qt1, qt2: the parts of num and den whose degrees have the
+    parity of deg den, and the other parts.  The lift normalizes once more,
+    by the leading denominator coefficient, which is 1 within an ulp."""
+    num, den = (_coeffs(p)[:, 0, 0].real for p in (source.num, source.den))
+    inv = 1.0 / den[-1]
+    num, den = num * inv, den * inv
+    same = [np.where(np.arange(len(u)) % 2 == (len(den) - 1) % 2, u, 0.0) for u in (num, den)]
+    return [same[0], num - same[0], den - same[1], same[1]]
+
+
+def test_parity_parts_are_the_lift_halves():
+    # the realization takes the parity parts directly; the lift's halves,
+    # rotated back, are the same arrays bit for bit, all four times one
+    # unit constant, which every ratio in the realization cancels
+    sources = [("order %d ladder %d" % (len(lad.branches), k), lad.function().normalize())
+               for k, lad in enumerate(ladder_cases(11, range(1, 25), 10))]
+    sources += [(name, g.normalize()) for name, g in real_rotated_herglotz_cases()]
+    assert len(sources) > 240
+    for name, source in sources:
+        parts = parity_parts(source)
+        halves = [np.pad(h, (0, len(u) - len(h))) for h, u in zip(lift_halves(source), parts)]
+        units = [c for c in (1.0, -1.0, 1j, -1j)
+                 if all(np.array_equal(h, c * u) for h, u in zip(halves, parts))]
+        assert len(units) == 1, name
+
+
+def test_array_identity_agrees_with_identity_equal():
+    for lad in ladder_cases(11, range(1, 17), 3):
+        real = realize_1d(lad.function())
+        closure, source = real.closure(), real.source
+        off = RationalMatrixFunction(source.num.scaled(1.0 + 1e-6), source.den)
+        for h, want in ((source, True), (off, False)):
+            arrays = [_coeffs(p)[:, 0, 0] for p in (closure.num, closure.den, h.num, h.den)]
+            holds = _identity_holds(*arrays, SPLIT_IDENTITY_RTOL)
+            assert holds == identity_equal(closure, h, SPLIT_IDENTITY_RTOL) == want
+
+
+def test_realize_needs_no_matrix_poly_arithmetic(monkeypatch):
+    f = ladder_cases(11, [12], 1)[0].function()
+
+    def refuse(*args):
+        raise AssertionError("MatrixPoly arithmetic inside the realization")
+
+    for name in ("__mul__", "__add__", "scale_variables"):
+        monkeypatch.setattr(MatrixPoly, name, refuse)
+    real = realize_1d(f)
+    assert real.variant == "lft"
+    real.closure()
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-20])
+def test_realize_small_scale_input(c):
+    # c/(s+1): the coupling c is small but not zero, and is kept
+    real = realize_1d(pr({(0,): c}, {(1,): 1.0, (0,): 1.0}))
+    assert real.kappa == pytest.approx(c, rel=1e-12)
+    s = np.array([[0.3 + 0.7j], [2.0 - 1.0j], [0.01 + 5.0j]])
+    got, ok = real.closure().eval_many(s)
+    want = c / (s[:, 0] + 1.0)
+    assert ok.all()
+    assert np.all(np.abs(got[:, 0, 0] - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("num, den", [
+    # 1e10 s / (s^2 + 1e-300 s + 1): a 1e-290 coupling divided by (1e-300)^2
+    ({(1,): 1e10}, {(2,): 1.0, (1,): 1e-300, (0,): 1.0}),
+    # 1 / (s^2 + 1e200 s + 1): the square of 1e200 overflows
+    ({(0,): 1.0}, {(2,): 1.0, (1,): 1e200, (0,): 1.0}),
+])
+def test_realize_overflow_names_its_stage_without_a_warning(num, den):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteCoefficient, match=r"^coupling numerator overflows: .* "
+                                                       r"the denominator's \(1,\) coefficient$"):
+            realize_1d(pr(num, den))
 
 
 def test_realize_rejects_matrix_input():
