@@ -22,6 +22,11 @@ from .rational import DEN_FLOOR_RTOL, RationalMatrixFunction
 
 DEFAULT_SEED = 0xDA71
 ROOT_ABS_RTOL = 1e-10
+# a hunted polynomial settles, and stops descending, once a row is below
+# RETIRE_RTOL * max|coeff|: a hundred times below the fail threshold, so its
+# witness keeps that much room under MatrixPoly.evaluate, which rounds
+# differently from the descent
+RETIRE_RTOL = 1e-12
 COEFF_REAL_RTOL = 1e-12
 CAYLEY_COND_LIMIT = 1e12
 
@@ -283,7 +288,7 @@ def _values(basis, weights, Z):
     return np.einsum("njt,tn->nj", weights, basis.monomials(Z))
 
 
-def _descend_to_zero(basis, coeffs, owner, Z, floor):
+def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     """Damped Gauss-Newton on |p|^2, batched over rows of (polynomial, start).
 
     Row r descends on the polynomial ``coeffs[owner[r]]`` (see ``_values``);
@@ -297,8 +302,11 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
     step moved them without lowering |p|; a row takes the first of these
     that lowers |p|.  A row stops for good at its first line search that
     does not lower |p|, because its next one would repeat it; retired rows
-    carry a zero step.  All stop after 50 iterations.  Returns the final
-    rows and their values.
+    carry a zero step.  A polynomial settles once any of its rows has |p|
+    below ``level[r]`` (one level for all rows of a polynomial), tested on
+    the starts and after each iteration: every row of it retires then.  All
+    stop after 50 iterations.  Returns the final rows, their values, and per
+    polynomial the number of iterations in which any of its rows was active.
     """
     W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
     w, fl = W[owner], floor[owner, None]
@@ -306,15 +314,22 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
     Z = Z.copy()
     vals = _values(basis, w, Z)
     active = np.ones(len(Z), dtype=bool)
-    for _ in range(50):
+    settled = np.zeros(len(coeffs), dtype=bool)
+    iterations = np.zeros(len(coeffs), dtype=np.int64)
+    for it in range(1, 51):
+        av = np.abs(vals[:, 0])
+        below = av < level
+        if below.any():
+            settled[owner[below]] = True
+            active &= ~settled[owner]
         if not active.any():
             break
+        iterations[owner[active]] = it
         G = vals[:, 1:] / Z
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = active & (gn2 > 1e-300)
         step = np.zeros_like(G)
         step[safe] = -(vals[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
-        av = np.abs(vals[:, 0])
         cand = Z + t[0] * step
         np.maximum(cand.imag, fl, out=cand.imag)
         cv = _values(basis, w, cand)
@@ -333,7 +348,7 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor):
         first, took = better.argmax(axis=0), better.any(axis=0)
         h, first, k = h[took], first[took], np.flatnonzero(took)
         Z[h], vals[h], active[h] = cand[first, k], cv[first, k], True
-    return Z, vals[:, 0]
+    return Z, vals[:, 0], iterations
 
 
 def _hunt(jobs, tols):
@@ -370,22 +385,24 @@ def _hunt(jobs, tols):
     starts = [x[np.argsort(v)[:20]] for x, v in zip(pts, np.split(vals, np.cumsum(sizes)[:-1]))]
     owner = np.repeat(np.arange(len(polys)), [len(x) for x in starts])
     floor = np.array([cfg.imag_floor * 0.5 for cfg in cfgs])
-    Z, best = _descend_to_zero(basis, coeffs, owner, np.vstack(starts), floor)
+    scale = np.array([p.max_coeff_magnitude() for p in polys])
+    Z, best, iterations = _descend_to_zero(basis, coeffs, owner, np.vstack(starts), floor,
+                                           RETIRE_RTOL * scale[owner])
 
-    for g, (i, p, cfg) in enumerate(zip(hunted, polys, cfgs)):
+    for g, (i, cfg) in enumerate(zip(hunted, cfgs)):
         rows = np.flatnonzero(owner == g)
         k = rows[int(np.argmin(np.abs(best[rows])))]
         best_val = abs(best[k])
-        margin = float(best_val - ROOT_ABS_RTOL * p.max_coeff_magnitude())
+        margin = float(best_val - ROOT_ABS_RTOL * scale[g])
+        info = details(refined_abs_value=_json_float(best_val),
+                       descent_iterations=int(iterations[g]))
         if margin < 0.0:
             witness = {"point": _json_point(Z[k]), "abs_value": _json_float(best_val)}
-            reports[i] = CheckReport("stable", "fail", sizes[g], margin, witness, cfg.seed,
-                                     details(refined_abs_value=_json_float(best_val)))
+            reports[i] = CheckReport("stable", "fail", sizes[g], margin, witness, cfg.seed, info)
         else:
             reports[i] = CheckReport(
                 "stable", "inconclusive", sizes[g], margin, None, cfg.seed,
-                details(refined_abs_value=_json_float(best_val),
-                        note="no zero found; sampling cannot prove stability"))
+                dict(info, note="no zero found; sampling cannot prove stability"))
     return reports
 
 

@@ -253,6 +253,23 @@ class MatrixPoly:
         return MatrixPoly._from_stack(self.d, self.m, list(self.terms),
                                       self._coeffs * complex(c))
 
+    def divided(self, c):
+        """Every coefficient entry over the nonzero scalar c.
+
+        An entry equal to c gives exactly 1 (with imaginary part +0), and for
+        a real c every quotient is correctly rounded, its real and imaginary
+        parts divided apart: numpy's complex division promises neither
+        (``7.3 / 7.3`` can give 0.9999999999999999).
+        """
+        c, a = complex(c), self._coeffs
+        if c.imag == 0.0:
+            out = np.empty_like(a)
+            out.real, out.imag = a.real / c.real, a.imag / c.real
+        else:
+            out = a / c
+        out[a == c] = 1.0
+        return MatrixPoly._from_stack(self.d, self.m, list(self.terms), out)
+
     # ------------------------------------------------------------------
     # evaluation
 

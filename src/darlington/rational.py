@@ -60,19 +60,19 @@ class RationalMatrixFunction:
         return self.num.m
 
     def normalize(self):
-        """Scale so the graded-lex-leading denominator coefficient is 1.
+        """Divide by the graded-lex-leading denominator coefficient, which
+        comes out exactly 1.
 
         This is the canonical representative used before decomposition and
-        serialization; idempotent.  Raises NonFiniteCoefficient (a ValueError),
-        naming the coefficient, when the scaled coefficients overflow.
+        serialization; idempotent bit for bit.  Raises NonFiniteCoefficient
+        (a ValueError), naming the coefficient, when the quotients overflow.
         """
         exps, lead = self.den.leading_coefficient()
         c = complex(lead[0, 0])
-        inv = 1.0 / c
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return RationalMatrixFunction(
-                    self.num.scaled(inv), self.den.scaled(inv), normalized=True
+                    self.num.divided(c), self.den.divided(c), normalized=True
                 )
         except NonFiniteCoefficient as exc:
             raise NonFiniteCoefficient("dividing by the leading denominator coefficient %r at %r "

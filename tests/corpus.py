@@ -182,6 +182,33 @@ def pair_cases():
     return cases
 
 
+def planted_pairs(seed):
+    """(p, q, stable) per d in 1-3 and degree 1-4, from the generator seeded
+    [seed, 1]: the real and imaginary halves of a product of factors
+    sum a_k z_k + b + i c with a_k, c > 0, so p + iq has no upper zero.
+    Where d + degree is even, the first factor is z_1 - w with Im w > 0
+    instead, which plants one."""
+    rng = np.random.default_rng([seed, 1])
+    pairs = []
+    for d in (1, 2, 3):
+        for deg in (1, 2, 3, 4):
+            stable = (d + deg) % 2 == 1
+            prod = MatrixPoly.constant(d, 1.0)
+            for j in range(deg):
+                if j == 0 and not stable:
+                    a = [1.0] + [0.0] * (d - 1)
+                    b = -complex(rng.uniform(-1, 1), rng.uniform(0.8, 1.25))
+                else:
+                    a = rng.uniform(0.8, 1.25, d)
+                    b = complex(rng.uniform(-1, 1), rng.uniform(0.8, 1.25))
+                terms = {(0,) * d: b}
+                terms.update({tuple(int(i == k) for i in range(d)): a[k] for k in range(d)})
+                prod = prod * sp(d, terms)
+            pairs.append((MatrixPoly(d, 1, {e: c.real for e, c in prod.terms.items()}),
+                          MatrixPoly(d, 1, {e: c.imag for e, c in prod.terms.items()}), stable))
+    return pairs
+
+
 @dataclass(frozen=True)
 class Ladder:
     """A lossy RLC ladder closed on a load resistor, read from the input.

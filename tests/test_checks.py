@@ -1,5 +1,6 @@
 """Sampling-based class membership, stability falsification, and the probes."""
 
+import json
 import re
 import warnings
 from dataclasses import replace
@@ -32,7 +33,7 @@ from darlington.checks import (
     upper_points,
     upper_to_disk,
 )
-from corpus import herglotz_cases, pair_cases
+from corpus import herglotz_cases, pair_cases, planted_pairs
 
 
 def sp(d, coeffs):
@@ -332,9 +333,11 @@ def descent_reference(p, cfg, euler=True):
 
 def test_batched_descent_matches_reference():
     # the batched descent takes value and gradient from the plan, so it
-    # rounds differently: verdicts agree exactly, points and values to 1e-9;
-    # with the plain gradient a descent may end on another zero of the same
-    # variety, so only the verdicts are compared
+    # rounds differently: verdicts agree exactly, and values where no zero
+    # is found to 1e-9.  A fail stops once a row is below RETIRE_RTOL, where
+    # the reference runs on, so the two may end on different zeros of the
+    # same variety: the witness must re-evaluate as a zero instead.  With the
+    # plain gradient only the verdicts are compared
     polys = []
     for case in pair_cases():
         p, q, d = case.p, case.q, case.p.d
@@ -344,11 +347,12 @@ def test_batched_descent_matches_reference():
     for p in polys:
         rep = check_stable(p, FAST)
         threshold = 1e-10 * p.max_coeff_magnitude()
-        point, value = descent_reference(p, FAST)
+        _, value = descent_reference(p, FAST)
         assert (value < threshold) == (rep.verdict == "fail")
         if rep.verdict == "fail":
-            got = np.array([complex(*xy) for xy in rep.witness["point"]])
-            np.testing.assert_allclose(got, point, rtol=0, atol=1e-9)
+            got = [complex(*xy) for xy in rep.witness["point"]]
+            assert abs(p.evaluate(got)[0, 0]) <= threshold
+            assert rep.witness["abs_value"] < checks.RETIRE_RTOL * p.max_coeff_magnitude()
         else:
             assert rep.details["refined_abs_value"] == pytest.approx(value, rel=1e-9)
         _, value = descent_reference(p, FAST, euler=False)
@@ -390,25 +394,35 @@ def test_tiny_imaginary_floor_keeps_the_hunt_finite(p):
     assert np.isfinite(rep.worst_margin)
 
 
-def descent_loop_reference(basis, coeffs, owner, Z, floor, retire=False, log=None):
+def descent_loop_reference(basis, coeffs, owner, Z, floor, level, retire=False, log=None):
     """_descend_to_zero's loop before stopped rows were retired, kept as its
     reference: a polynomial stays live while any of its rows improved, and
     every row of a live polynomial is retried.  With ``retire`` each row
-    stays live only while it improves, as in _descend_to_zero.  It values
-    the starts once and each line-search try once, one try per step size,
-    carrying every gradient over from the try that accepted its point.  A
-    ``log`` list receives one ``(halving, stayed, better)`` per try: the
-    try's index 0-7 and, per row tried, whether its candidate is its own
-    point and whether the candidate lowered |p|."""
+    stays live only while it improves, as in _descend_to_zero.  Either way a
+    polynomial settles once one of its rows is below that row's ``level``,
+    on the starts or after an iteration, and then none of its rows is tried
+    again.  It values the starts once and each line-search try once, one
+    try per step size, carrying every gradient over from the try that
+    accepted its point.  A ``log`` list receives one ``(halving, stayed,
+    better)`` per try: the try's index 0-7 and, per row tried, whether its
+    candidate is its own point and whether the candidate lowered |p|.
+    Returns the rows, their values and, per polynomial, the iterations in
+    which it had a row tried."""
     W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
     Z = Z.copy()
     vals = checks._values(basis, W[owner], Z)
     key = np.arange(len(Z)) if retire else owner
     live = np.ones(len(Z) if retire else len(coeffs), dtype=bool)
-    for _ in range(50):
+    iterations = np.zeros(len(coeffs), dtype=np.int64)
+    for it in range(1, 51):
+        for g in range(len(coeffs)):
+            mine = owner == g
+            if (np.abs(vals[mine, 0]) < level[mine]).any():
+                live[key[mine]] = False
         rows = np.flatnonzero(live[key])
         if not len(rows):
             break
+        iterations[owner[rows]] = it
         own, z, v = owner[rows], Z[rows], vals[rows]
         w = W[own]
         G = v[:, 1:] / z
@@ -436,7 +450,7 @@ def descent_loop_reference(basis, coeffs, owner, Z, floor, retire=False, log=Non
                     a[keep] for a in (rows, own, z, w, step, t, av, fl))
             t = t * 0.5
         live &= improved
-    return Z, vals[:, 0]
+    return Z, vals[:, 0], iterations
 
 
 def capture_descents(monkeypatch, run):
@@ -546,11 +560,12 @@ def test_halvings_batch_takes_the_first_improving_halving(monkeypatch):
 
     monkeypatch.setattr(checks, "_values", stop_after_a_choice)
     found = 0
-    for basis, coeffs, owner, Z, floor in captured:
+    for basis, coeffs, owner, Z, floor, level in captured:
         for r in range(len(Z)):
             state.clear()
             with np.errstate(all="ignore"):
-                got, _ = checks._descend_to_zero(basis, coeffs, owner[r:r + 1], Z[r:r + 1], floor)
+                got = checks._descend_to_zero(basis, coeffs, owner[r:r + 1], Z[r:r + 1], floor,
+                                              level[r:r + 1])[0]
             if "taken" in state:
                 found += 1
                 assert got[0].tobytes() == state["taken"].tobytes()
@@ -558,11 +573,10 @@ def test_halvings_batch_takes_the_first_improving_halving(monkeypatch):
 
 
 def hunt_pairs(pairs):
-    """Every zero hunt of the pair probes on (p, q) pairs."""
-    for p, q in pairs:
-        check_stable(p + q.scaled(1j), FAST)
-        pencil_probe(p, q, FAST)
-        lemma11_probe(p, q, FAST, members=10)
+    """Every zero hunt of the pair probes on (p, q) pairs; their reports."""
+    return [rep.to_dict() for p, q in pairs
+            for rep in (check_stable(p + q.scaled(1j), FAST), pencil_probe(p, q, FAST),
+                        lemma11_probe(p, q, FAST, members=10))]
 
 
 def run_both_descents(monkeypatch):
@@ -617,6 +631,115 @@ def test_descent_does_not_retry_stopped_rows(corpus_descents):
     # Retired rows may be valued in the full-step batch, but they carry a
     # zero step and are never accepted.
     assert sum(run[2] for run in corpus_descents) < sum(run[3] for run in corpus_descents)
+
+
+def test_hunts_without_a_zero_are_untouched_by_the_settle_rule(monkeypatch):
+    # no row of a hunt without a zero gets below its level, so the rule
+    # retires nothing: the descents value as many rows, and the reports are
+    # byte-identical, as with the rule off (a level of 0)
+    moebius = next(case for case in pair_cases() if case.name == "moebius")
+    pairs = [(moebius.p, moebius.q)]
+    pairs += [(p, q) for seed in (1, 2, 3) for p, q, stable in planted_pairs(seed) if stable]
+    rows, values = [0], checks._values
+
+    def counted(basis, weights, Z):
+        rows[0] += len(Z)
+        return values(basis, weights, Z)
+
+    monkeypatch.setattr(checks, "_values", counted)
+    runs = []
+    for rtol in (checks.RETIRE_RTOL, 0.0):
+        monkeypatch.setattr(checks, "RETIRE_RTOL", rtol)
+        rows[0] = 0
+        reports = json.dumps(hunt_pairs(pairs))
+        runs.append((rows[0], reports))
+    assert runs[0] == runs[1]
+    assert '"fail"' not in runs[0][1] and '"descent_iterations"' in runs[0][1]
+
+
+def test_no_iteration_runs_once_every_polynomial_is_settled(monkeypatch):
+    # a descent cut at the full step of its last iteration (from there on
+    # every _values call gives NaN, which no row accepts) returns its rows as
+    # that iteration found them: some polynomial must still have had no row
+    # below its level.  The full steps are the calls that reuse the starts'
+    # weights, and their count is the largest descent_iterations
+    captured = capture_descents(monkeypatch, lambda: hunt_pairs(
+        [(case.p, case.q) for case in pair_cases()]))
+    values = checks._values
+    all_settled = 0
+    for basis, coeffs, owner, Z, floor, level in captured:
+        def run(cut):
+            first, steps = [], [0]
+
+            def logged(b, weights, X):
+                out = values(b, weights, X)
+                if not first:
+                    first.append(weights)
+                elif weights is first[0]:
+                    steps[0] += 1
+                return np.full_like(out, np.nan) if steps[0] >= cut else out
+
+            monkeypatch.setattr(checks, "_values", logged)
+            got = checks._descend_to_zero(basis, coeffs, owner, Z, floor, level)
+            monkeypatch.setattr(checks, "_values", values)
+            return got, steps[0]
+
+        def settled(vals):
+            below = np.abs(vals) < level
+            return [bool(below[owner == g].any()) for g in range(len(coeffs))]
+
+        (_, vals, iterations), n = run(cut=51)
+        assert n == iterations.max()
+        all_settled += n < 50 and all(settled(vals))
+        if n:
+            (_, vals, _), _ = run(cut=n)
+            assert not all(settled(vals))
+    assert all_settled
+
+
+def test_descent_iterations_do_not_depend_on_the_batch():
+    # hunted together or alone, a polynomial gets the same report, its
+    # descent_iterations included: the batch's shared basis only adds terms
+    # of weight 0, which keep the order of the others and add exact zeros
+    pairs = [(case.p, case.q) for case in pair_cases() if not case.q.is_zero()]
+    pairs += [(p, q) for p, q, _ in planted_pairs(1)]
+    counts = set()
+    for p, q in pairs:
+        # the combined polynomial and four members, as lemma11_probe batches them
+        jobs = [(p + q.scaled(1j), FAST)]
+        for k, theta in enumerate(np.linspace(0.3, 2.8, 4)):
+            member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
+            jobs.append((member, replace(FAST, seed=k + 1, count=40)))
+        batched = checks._hunt(jobs, Tolerances())
+        for job, rep in zip(jobs, batched):
+            assert checks._hunt([job], Tolerances())[0].to_dict() == rep.to_dict()
+            counts.add(rep.details["descent_iterations"])
+    assert len(counts) > 5
+
+
+def test_every_hunted_fail_re_evaluates_below_the_threshold():
+    pairs = [(case.p, case.q) for case in pair_cases()]
+    pairs += [(p, q) for seed in (1, 2, 3) for p, q, _ in planted_pairs(seed)]
+    fails = 0
+    for p, q in pairs:
+        d = p.d
+        combined = p + q.scaled(1j)
+        pencil = p.append_variable() + MatrixPoly.variable(d + 1, d) * q.append_variable()
+        probe = lemma11_probe(p, q, FAST, members=10)
+        found = [(combined, check_stable(combined).witness), (pencil, pencil_probe(p, q).witness),
+                 (combined, probe.combined.witness), (pencil, probe.pencil.witness)]
+        if probe.member_witness:
+            theta = probe.member_witness["theta"]
+            member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
+            found.append((member, probe.member_witness))
+        for poly, witness in found:
+            if witness is None:
+                continue
+            z = np.array([complex(*xy) for xy in witness["point"]])
+            assert (z.imag > 0).all()
+            assert abs(poly.evaluate(z)[0, 0]) <= checks.ROOT_ABS_RTOL * poly.max_coeff_magnitude()
+            fails += 1
+    assert fails > 100
 
 
 def per_member_loop(p, q, cfg, members):

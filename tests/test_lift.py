@@ -243,11 +243,8 @@ def lift_halves(source):
 
 def parity_parts(source):
     """pt1, pt2, qt1, qt2: the parts of num and den whose degrees have the
-    parity of deg den, and the other parts.  The lift normalizes once more,
-    by the leading denominator coefficient, which is 1 within an ulp."""
+    parity of deg den, and the other parts."""
     num, den = (_coeffs(p)[:, 0, 0].real for p in (source.num, source.den))
-    inv = 1.0 / den[-1]
-    num, den = num * inv, den * inv
     same = [np.where(np.arange(len(u)) % 2 == (len(den) - 1) % 2, u, 0.0) for u in (num, den)]
     return [same[0], num - same[0], den - same[1], same[1]]
 

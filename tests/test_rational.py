@@ -63,6 +63,32 @@ def test_normalize_leading_denominator_coefficient():
     assert again.num == g.num and again.den == g.den
 
 
+def stack_bytes(f):
+    return [(e, a.tobytes()) for p in (f.num, f.den) for e, a in p.terms.items()]
+
+
+def test_normalize_is_idempotent_bit_for_bit():
+    # the leading denominator coefficient comes out exactly 1, so a second
+    # normalize divides by 1 and moves nothing
+    sources = [lad.function() for lad in ladder_cases(11, range(1, 25), 10)]
+    sources += [case.f for case in herglotz_cases()]
+    sources += [RationalMatrixFunction(sp(1, {(0,): 2.0 - 1j}), sp(1, {(1,): c, (0,): 1.0}))
+                for c in (7.3, -7.3, 7.3 + 2.1j, -0.1j, 3e-200)]
+    for f in sources:
+        g = f.normalize()
+        _, lead = g.den.leading_coefficient()
+        assert lead[0, 0].tobytes() == np.complex128(1.0).tobytes()
+        assert stack_bytes(g.normalize()) == stack_bytes(g)
+
+
+def test_normalize_divides_by_a_real_lead_correctly_rounded():
+    num = MatrixPoly(1, 2, {(0,): np.array([[0.1, 7.3j], [-2.2, 1e-300]])})
+    g = RationalMatrixFunction(num, sp(1, {(1,): 7.3, (0,): 0.7})).normalize()
+    want = np.array([[0.1 / 7.3, 1j * (7.3 / 7.3)], [-2.2 / 7.3, 1e-300 / 7.3]])
+    assert g.num.terms[(0,)].tobytes() == want.tobytes()
+    assert g.den.terms[(0,)][0, 0] == 0.7 / 7.3
+
+
 def test_identity_equal_cross_multiplies():
     # 1/z and 2/(2z) agree as functions though coefficients differ
     f = RationalMatrixFunction(one(1), sp(1, {(1,): 1.0}))
