@@ -296,58 +296,72 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     parts clipped at ``floor[owner[r]] > 0``.  Each point is valued in one
     ``_values`` pass for p and its Euler terms ``z_k dp/dz_k``, from the
     weights ``c_t * (1, e_t1, ..., e_td)``, so the candidate that a row
-    accepts also gives its gradient: no z_k of the upper poly-half-plane is
-    0.  Each iteration values at most two batches: the full step of every
-    row, then the steps t = 1/2 ... 1/128 together for the rows whose full
-    step moved them without lowering |p|; a row takes the first of these
-    that lowers |p|.  A row stops for good at its first line search that
-    does not lower |p|, because its next one would repeat it; retired rows
-    carry a zero step.  A polynomial settles once any of its rows has |p|
-    below ``level[r]`` (one level for all rows of a polynomial), tested on
-    the starts and after each iteration: every row of it retires then.  All
-    stop after 50 iterations.  Returns the final rows, their values, and per
-    polynomial the number of iterations in which any of its rows was active.
+    accepts also gives its gradient, and its |p| is carried to the next
+    iteration: no z_k of the upper poly-half-plane is 0.  Each iteration
+    values at most two batches: the full step of every row, then the steps
+    t = 1/2 ... 1/128 together for the rows whose full step moved them
+    without lowering |p|; a row takes the first of these that lowers |p|.
+    A row stops for good at its first line search that does not lower |p|,
+    because its next one would repeat it; retired rows carry a zero step.
+    A polynomial settles once any of its rows has |p| below ``level[r]``
+    (one level for all rows of a polynomial), tested on the starts and after
+    each iteration: every row of it retires then.  All stop after 50
+    iterations.  Each row keeps the last iteration in which it was active;
+    after the loop these reduce to one count per polynomial.  Returns the
+    final rows, their values, and per polynomial the number of iterations in
+    which any of its rows was active.
     """
     W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
     w, fl = W[owner], floor[owner, None]
     t = 0.5 ** np.arange(8)[:, None, None]    # step sizes 1, 1/2, ..., 1/128
     Z = Z.copy()
     vals = _values(basis, w, Z)
+    av = np.abs(vals[:, 0])
     active = np.ones(len(Z), dtype=bool)
     settled = np.zeros(len(coeffs), dtype=bool)
-    iterations = np.zeros(len(coeffs), dtype=np.int64)
+    alive = np.zeros(len(Z), dtype=np.int64)
     for it in range(1, 51):
-        av = np.abs(vals[:, 0])
-        below = av < level
+        # only rows accepted since the last test can have newly dropped below
+        below = active & (av < level)
         if below.any():
             settled[owner[below]] = True
             active &= ~settled[owner]
         if not active.any():
             break
-        iterations[owner[active]] = it
+        alive[active] = it
         G = vals[:, 1:] / Z
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = active & (gn2 > 1e-300)
-        step = np.zeros_like(G)
-        step[safe] = -(vals[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
+        # retired rows and rows whose gradient vanishes take a zero step;
+        # they divide by 1, so the whole-array step raises no warning
+        step = -(vals[:, :1] * np.conj(G)) / np.where(safe, gn2, 1.0)[:, None]
+        np.copyto(step, 0.0, where=~safe[:, None])
         cand = Z + t[0] * step
         np.maximum(cand.imag, fl, out=cand.imag)
         cv = _values(basis, w, cand)
-        better = active & (np.abs(cv[:, 0]) < av)
-        Z[better], vals[better] = cand[better], cv[better]
+        acv = np.abs(cv[:, 0])
+        better = active & (acv < av)
+        np.copyto(Z, cand, where=better[:, None])
+        np.copyto(vals, cv, where=better[:, None])
+        np.copyto(av, acv, where=better)
         # a full step that lands on the row's own point lands there at every
         # halving too (rounding is monotone), so only the others are tried
-        h = np.flatnonzero(active & ~better & (cand != Z).any(axis=1))
+        h = np.flatnonzero(active ^ better)
         active = better
+        if len(h):
+            h = h[(cand[h] != Z[h]).any(axis=1)]
         if not len(h):
             continue
         cand = Z[h] + t[1:] * step[h]
         np.maximum(cand.imag, fl[h], out=cand.imag)
         cv = _values(basis, w[np.tile(h, 7)], cand.reshape(-1, Z.shape[1])).reshape(7, len(h), -1)
-        better = np.abs(cv[:, :, 0]) < av[h]
+        acv = np.abs(cv[:, :, 0])
+        better = acv < av[h]
         first, took = better.argmax(axis=0), better.any(axis=0)
         h, first, k = h[took], first[took], np.flatnonzero(took)
-        Z[h], vals[h], active[h] = cand[first, k], cv[first, k], True
+        Z[h], vals[h], av[h], active[h] = cand[first, k], cv[first, k], acv[first, k], True
+    iterations = np.zeros(len(coeffs), dtype=np.int64)
+    np.maximum.at(iterations, owner, alive)
     return Z, vals[:, 0], iterations
 
 
@@ -358,8 +372,10 @@ def _hunt(jobs, tols):
     descends from the 20 where it is smallest; the rows of all polynomials
     descend together in one ``_descend_to_zero`` call.
     """
+    tolerances = tols.to_dict()
+
     def details(**extra):
-        return dict(tolerances=tols.to_dict(), threshold_rtol=ROOT_ABS_RTOL, **extra)
+        return dict(tolerances=dict(tolerances), threshold_rtol=ROOT_ABS_RTOL, **extra)
 
     reports = [None] * len(jobs)
     for i, (p, cfg) in enumerate(jobs):
@@ -415,8 +431,7 @@ def check_stable(p, config=None, tolerances=None):
     never "pass".
     """
     p = _scalar_poly(p)
-    cfg, tols, _ = _setup(config, tolerances)
-    return _hunt([(p, cfg)], tols)[0]
+    return _hunt([(p, config or SampleConfig())], tolerances or Tolerances())[0]
 
 
 def _imag_coeff_excess(p):
@@ -426,14 +441,15 @@ def _imag_coeff_excess(p):
     return worst if worst > COEFF_REAL_RTOL * max(p.max_coeff_magnitude(), 1e-300) else 0.0
 
 
-def _non_real_report(p, cfg, rng):
+def _non_real_report(p, cfg):
     """check_real_stable's report when p has non-real coefficients, else None:
-    a fail, or inconclusive when every value at the real points overflows."""
+    a fail, or inconclusive when every value at the real points overflows.
+    The real points are drawn from a generator seeded with ``cfg.seed``."""
     imag_excess = _imag_coeff_excess(p)
     if not imag_excess:
         return None
     # witness: a real point where the imaginary part is re-evaluably large
-    pts = real_points(cfg, rng, p.d)
+    pts = real_points(cfg, np.random.default_rng(cfg.seed), p.d)
     kept = _kept(pts, p.evaluate_many(pts), np.ones(len(pts), dtype=bool),
                  lambda vals: (-np.abs(vals[:, 0, 0].imag),))
     details = {"imag_coeff_max": _json_float(imag_excess)}
@@ -455,8 +471,8 @@ def _non_real_report(p, cfg, rng):
 def check_real_stable(p, config=None, tolerances=None):
     """Real coefficients plus no zero in the open upper poly-half-plane."""
     p = _scalar_poly(p)
-    cfg, tols, rng = _setup(config, tolerances)
-    rep = _non_real_report(p, cfg, rng) or check_stable(p, cfg, tols)
+    cfg = config or SampleConfig()
+    rep = _non_real_report(p, cfg) or check_stable(p, cfg, tolerances)
     rep.check = "real-stable"
     return rep
 
@@ -554,7 +570,7 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
         if member.max_coeff_magnitude() <= 1e-14 * scale:
             continue
         sub_cfg = replace(cfg, seed=int(rng.integers(2**31 - 1)), count=member_cfg_count)
-        rep = _non_real_report(member, sub_cfg, np.random.default_rng(sub_cfg.seed))
+        rep = _non_real_report(member, sub_cfg)
         if rep is None:
             jobs.append((member, sub_cfg))
         checked.append((theta, rep))

@@ -777,6 +777,23 @@ def test_lemma11_batch_matches_per_member_loop(cfg):
         assert probe.combined.verdict == combined.verdict, case.name
 
 
+def test_lemma11_reports_members_with_non_real_coefficients():
+    # p's imaginary part 9e-13 passes as real next to its coefficient 1, but
+    # the member cos(t) p + sin(t) q = (cos t - sin t)(z1 + 1) + 9e-13j cos t
+    # is non-real once 9e-13 cos t > COEFF_REAL_RTOL |cos t - sin t|, that is
+    # for 0.0997 < t < 1.086: 9 of the 50 angles.  Those members fail on
+    # their coefficients without a hunt; the others' zeros lie within 1e-12
+    # of -1, below the hunt's imaginary floor
+    p = sp(1, {(1,): 1.0, (0,): 1 + 9e-13j})
+    q = sp(1, {(1,): -1.0, (0,): -1.0})
+    probe = lemma11_probe(p, q)
+    assert (probe.members_falsified, probe.members_checked) == (9, 50)
+    w = probe.member_witness
+    assert w["part"] == "non-real-coefficients"
+    assert w["point"] == [[3.5557931696966527, 0.0]]
+    assert w["theta"] == 0.20224485074040685
+
+
 def test_descent_needs_no_derivative_polynomials(monkeypatch):
     def refuse(self, k):
         raise AssertionError("the descent takes its gradient from the plan")
