@@ -18,9 +18,8 @@ import numpy as np
 
 from . import linalg
 from .poly import MatrixPoly
-from .rational import DEN_FLOOR_RTOL, RationalMatrixFunction
+from .rational import DEFAULT_SEED, DEN_FLOOR_RTOL, RationalMatrixFunction
 
-DEFAULT_SEED = 0xDA71
 ROOT_ABS_RTOL = 1e-10
 # a hunted polynomial settles, and stops descending, once a row is below
 # RETIRE_RTOL * max|coeff|: a hundred times below the fail threshold, so its
@@ -95,7 +94,7 @@ def _json_point(z):
     return [[float(v.real), float(v.imag)] for v in np.asarray(z).reshape(-1)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
     check: str
     verdict: str  # "pass" | "fail" | "inconclusive"
@@ -366,11 +365,13 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
 
 
 def _hunt(jobs, tols):
-    """check_stable's reports for (polynomial, config) jobs in one variable count.
+    """Reports named ``check`` for (check, p, cfg, real) jobs in one variable count.
 
-    Each polynomial draws its own upper points from its config's seed and
-    descends from the 20 where it is smallest; the rows of all polynomials
-    descend together in one ``_descend_to_zero`` call.
+    A ``real`` job whose p has non-real coefficients gets _non_real_report; a
+    zero p fails; a constant p is inconclusive.  Every other p draws its own
+    upper points from cfg's seed and descends from the 20 where it is
+    smallest; the rows of all of them descend together in one
+    ``_descend_to_zero`` call.
     """
     tolerances = tols.to_dict()
 
@@ -378,19 +379,21 @@ def _hunt(jobs, tols):
         return dict(tolerances=dict(tolerances), threshold_rtol=ROOT_ABS_RTOL, **extra)
 
     reports = [None] * len(jobs)
-    for i, (p, cfg) in enumerate(jobs):
-        if p.is_zero():
+    for i, (check, p, cfg, real) in enumerate(jobs):
+        if real and _imag_coeff_excess(p):
+            reports[i] = _non_real_report(check, p, cfg)
+        elif p.is_zero():
             pt = np.full(p.d, 1j) if p.d else np.zeros(0)
             witness = {"point": _json_point(pt), "abs_value": 0.0, "note": "zero polynomial"}
-            reports[i] = CheckReport("stable", "fail", 1, -1.0, witness, cfg.seed, details())
+            reports[i] = CheckReport(check, "fail", 1, -1.0, witness, cfg.seed, details())
         elif p.d == 0:
-            reports[i] = CheckReport("stable", "inconclusive", 1, float(abs(p.evaluate([])[0, 0])),
+            reports[i] = CheckReport(check, "inconclusive", 1, float(abs(p.evaluate([])[0, 0])),
                                      None, cfg.seed, details(note="constant polynomial"))
     hunted = [i for i, rep in enumerate(reports) if rep is None]
     if not hunted:
         return reports
 
-    polys, cfgs = zip(*(jobs[i] for i in hunted))
+    names, polys, cfgs, _ = zip(*(jobs[i] for i in hunted))
     d = polys[0].d
     basis = MatrixPoly(d, 1, {e: 1.0 for p in polys for e in p.terms})
     coeffs = np.array([[p.terms[e][0, 0] if e in p.terms else 0.0 for e, _ in basis.ordered_terms()]
@@ -405,7 +408,7 @@ def _hunt(jobs, tols):
     Z, best, iterations = _descend_to_zero(basis, coeffs, owner, np.vstack(starts), floor,
                                            RETIRE_RTOL * scale[owner])
 
-    for g, (i, cfg) in enumerate(zip(hunted, cfgs)):
+    for g, (i, check, cfg) in enumerate(zip(hunted, names, cfgs)):
         rows = np.flatnonzero(owner == g)
         k = rows[int(np.argmin(np.abs(best[rows])))]
         best_val = abs(best[k])
@@ -414,10 +417,10 @@ def _hunt(jobs, tols):
                        descent_iterations=int(iterations[g]))
         if margin < 0.0:
             witness = {"point": _json_point(Z[k]), "abs_value": _json_float(best_val)}
-            reports[i] = CheckReport("stable", "fail", sizes[g], margin, witness, cfg.seed, info)
+            reports[i] = CheckReport(check, "fail", sizes[g], margin, witness, cfg.seed, info)
         else:
             reports[i] = CheckReport(
-                "stable", "inconclusive", sizes[g], margin, None, cfg.seed,
+                check, "inconclusive", sizes[g], margin, None, cfg.seed,
                 dict(info, note="no zero found; sampling cannot prove stability"))
     return reports
 
@@ -430,8 +433,8 @@ def check_stable(p, config=None, tolerances=None):
     cannot certify absence of zeros, the alternative is "inconclusive",
     never "pass".
     """
-    p = _scalar_poly(p)
-    return _hunt([(p, config or SampleConfig())], tolerances or Tolerances())[0]
+    return _hunt([("stable", _scalar_poly(p), config or SampleConfig(), False)],
+                 tolerances or Tolerances())[0]
 
 
 def _imag_coeff_excess(p):
@@ -441,20 +444,17 @@ def _imag_coeff_excess(p):
     return worst if worst > COEFF_REAL_RTOL * max(p.max_coeff_magnitude(), 1e-300) else 0.0
 
 
-def _non_real_report(p, cfg):
-    """check_real_stable's report when p has non-real coefficients, else None:
-    a fail, or inconclusive when every value at the real points overflows.
-    The real points are drawn from a generator seeded with ``cfg.seed``."""
-    imag_excess = _imag_coeff_excess(p)
-    if not imag_excess:
-        return None
+def _non_real_report(check, p, cfg):
+    """The report named ``check`` for a p with non-real coefficients: a fail,
+    or inconclusive when every value at the real points overflows.  The
+    real points are drawn from a generator seeded with ``cfg.seed``."""
     # witness: a real point where the imaginary part is re-evaluably large
     pts = real_points(cfg, np.random.default_rng(cfg.seed), p.d)
     kept = _kept(pts, p.evaluate_many(pts), np.ones(len(pts), dtype=bool),
                  lambda vals: (-np.abs(vals[:, 0, 0].imag),))
-    details = {"imag_coeff_max": _json_float(imag_excess)}
+    details = {"imag_coeff_max": _json_float(_imag_coeff_excess(p))}
     if isinstance(kept, str):
-        return CheckReport("real-stable", "inconclusive", 0, float("nan"), None, cfg.seed,
+        return CheckReport(check, "inconclusive", 0, float("nan"), None, cfg.seed,
                            dict(details, note=kept))
     kept, margins = kept
     k = int(np.argmin(margins))
@@ -463,45 +463,44 @@ def _non_real_report(p, cfg):
         "imag_value": _json_float(-margins[k]),
         "part": "non-real-coefficients",
     }
-    return CheckReport("real-stable", "fail", len(margins), float(margins[k]), witness,
+    return CheckReport(check, "fail", len(margins), float(margins[k]), witness,
                        cfg.seed, details)
 
 
 @_quiet
 def check_real_stable(p, config=None, tolerances=None):
     """Real coefficients plus no zero in the open upper poly-half-plane."""
-    p = _scalar_poly(p)
-    cfg = config or SampleConfig()
-    rep = _non_real_report(p, cfg) or check_stable(p, cfg, tolerances)
-    rep.check = "real-stable"
-    return rep
+    return _hunt([("real-stable", _scalar_poly(p), config or SampleConfig(), True)],
+                 tolerances or Tolerances())[0]
 
 
 # ----------------------------------------------------------------------
 # equivalence probes for pairs (p, q)
 
 
-def _real_scalar_pair(p, q):
+def _scalar_pair(p, q, real):
+    """p and q as scalar polynomials in the same variables; with ``real``,
+    both must have real coefficients."""
     p, q = _scalar_poly(p), _scalar_poly(q)
     if p.d != q.d:
         raise ValueError("p and q must share the variable count")
     for r, name in ((p, "p"), (q, "q")):
-        if _imag_coeff_excess(r):
+        if real and _imag_coeff_excess(r):
             raise ValueError("%s must have real coefficients" % name)
     return p, q
 
 
+@_quiet
 def pencil_probe(p, q, config=None, tolerances=None):
     """Real-stability falsifier for p + z_new * q in one extra variable."""
-    p, q = _real_scalar_pair(p, q)
+    p, q = _scalar_pair(p, q, real=True)
     d = p.d
     pencil = p.append_variable() + MatrixPoly.variable(d + 1, d) * q.append_variable()
-    rep = check_real_stable(pencil, config, tolerances)
-    rep.check = "pencil-real-stable"
-    return rep
+    return _hunt([("pencil-real-stable", pencil, config or SampleConfig(), True)],
+                 tolerances or Tolerances())[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PencilProbe:
     """Three falsification routes for the same stability question.
 
@@ -553,40 +552,31 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     """Probe the equivalence between combined-zero freeness, pencil
     real-stability and member real-stability for a real pair (p, q).
 
-    The combined polynomial and every member with real coefficients are
-    hunted in one batched descent, each with its own seed and point set.
+    The combined polynomial and the members are hunted in one batched
+    descent, each with its own seed and point set.
     """
-    p, q = _real_scalar_pair(p, q)
+    if members < 0:
+        raise ValueError("members must be at least 0, got %r" % (members,))
+    p, q = _scalar_pair(p, q, real=True)
     cfg, tols, rng = _setup(config, tolerances)
     pencil = pencil_probe(p, q, cfg, tols)
 
-    thetas = rng.uniform(0.0, np.pi, members)
     member_cfg_count = max(40, cfg.count // 4)
     scale = max(p.max_coeff_magnitude(), q.max_coeff_magnitude(), 1e-300)
-    jobs = [(p + q.scaled(1j), cfg)]
-    checked = []  # (theta, its non-real report, or None if it joins the hunt)
-    for theta in thetas:
+    jobs = [("combined-stable", p + q.scaled(1j), cfg, False)]
+    thetas = []
+    for theta in rng.uniform(0.0, np.pi, members):
         member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
         if member.max_coeff_magnitude() <= 1e-14 * scale:
             continue
         sub_cfg = replace(cfg, seed=int(rng.integers(2**31 - 1)), count=member_cfg_count)
-        rep = _non_real_report(member, sub_cfg)
-        if rep is None:
-            jobs.append((member, sub_cfg))
-        checked.append((theta, rep))
+        jobs.append(("real-stable", member, sub_cfg, True))
+        thetas.append(theta)
 
-    hunted = iter(_hunt(jobs, tols))
-    combined = next(hunted)
-    combined.check = "combined-stable"
-    falsified = 0
-    member_witness = None
-    for theta, rep in checked:
-        rep = rep or next(hunted)
-        if rep.verdict == "fail":
-            falsified += 1
-            if member_witness is None:
-                member_witness = dict(rep.witness or {}, theta=float(theta))
-    return PencilProbe(combined, pencil, falsified, len(checked), member_witness, cfg.seed)
+    combined, *reports = _hunt(jobs, tols)
+    fails = [(theta, rep) for theta, rep in zip(thetas, reports) if rep.verdict == "fail"]
+    member_witness = dict(fails[0][1].witness or {}, theta=float(fails[0][0])) if fails else None
+    return PencilProbe(combined, pencil, len(fails), len(thetas), member_witness, cfg.seed)
 
 
 @_quiet
@@ -597,9 +587,7 @@ def lemma12_probe(p, q, config=None, tolerances=None):
     half-plane one way only; a strongly mixed sign pattern falsifies that.
     Points where Im(p/q) is not finite are dropped, as in the class checks.
     """
-    p, q = _scalar_poly(p), _scalar_poly(q)
-    if p.d != q.d:
-        raise ValueError("p and q must share the variable count")
+    p, q = _scalar_pair(p, q, real=False)
     if q.is_zero():
         raise ValueError("q must be nonzero to form the ratio p/q")
     cfg, tols, rng = _setup(config, tolerances)

@@ -19,7 +19,7 @@ from .rational import RationalMatrixFunction
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Halves of a normalized fraction P/q.
+    """Halves of a fraction P/q after normalize().
 
     p1, p2 carry Hermitian matrix coefficients and q1, q2 real scalar
     coefficients, with P = i*p1 + p2 and q = i*q1 + q2 (the identities hold
@@ -42,8 +42,8 @@ class Decomposition:
 
 
 def decompose(f):
-    """Split a normalized fraction into Hermitian/real coefficient halves."""
-    g = f if f.normalized else f.normalize()
+    """Split f.normalize() into Hermitian/real coefficient halves."""
+    g = f.normalize()
     num, den = g.num, g.den
     p1 = (num - num.bar_reflect()).scaled(-0.5j)
     p2 = (num + num.bar_reflect()).scaled(0.5)
@@ -63,7 +63,7 @@ class DarlingtonLift:
 
 def lift(f):
     """Lift f (upper-half-plane frame) to d+1 variables with value f at z_new = i."""
-    g = f if f.normalized else f.normalize()
+    g = f.normalize()
     pieces = decompose(g)
     d = g.d
     z_new = MatrixPoly.variable(d + 1, d)

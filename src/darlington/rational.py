@@ -16,6 +16,7 @@ import numpy as np
 
 from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
 
+DEFAULT_SEED = 0xDA71
 IDENTITY_RTOL = 1e-12
 DEN_FLOOR_RTOL = 1e-12
 GCD_DROP_TOL = 1e-10
@@ -30,9 +31,9 @@ class DegenerateLine(RuntimeError):
 
 
 class RationalMatrixFunction:
-    __slots__ = ("num", "den", "normalized")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den, normalized=False):
+    def __init__(self, num, den):
         if not isinstance(num, MatrixPoly) or not isinstance(den, MatrixPoly):
             raise TypeError("num and den must be MatrixPoly")
         if num.d != den.d:
@@ -43,13 +44,12 @@ class RationalMatrixFunction:
             raise ValueError("denominator is identically zero")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "normalized", bool(normalized))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrixFunction is immutable")
 
     def __reduce__(self):
-        return (RationalMatrixFunction, (self.num, self.den, self.normalized))
+        return (RationalMatrixFunction, (self.num, self.den))
 
     @property
     def d(self):
@@ -71,9 +71,7 @@ class RationalMatrixFunction:
         c = complex(lead[0, 0])
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return RationalMatrixFunction(
-                    self.num.divided(c), self.den.divided(c), normalized=True
-                )
+                return RationalMatrixFunction(self.num.divided(c), self.den.divided(c))
         except NonFiniteCoefficient as exc:
             raise NonFiniteCoefficient("dividing by the leading denominator coefficient %r at %r "
                                        "overflows: %s" % (c, exps, exc)) from exc
@@ -84,8 +82,11 @@ class RationalMatrixFunction:
     def eval(self, z, den_floor_rtol=DEN_FLOOR_RTOL):
         """Value at a point; raises NearPole when |den(z)| is below the relative floor."""
         dv = complex(self.den.evaluate(z)[0, 0])
-        if abs(dv) <= self.den_floor(den_floor_rtol):
-            raise NearPole("denominator magnitude %g at %r is below the pole floor" % (abs(dv), z))
+        floor = self.den_floor(den_floor_rtol)
+        if abs(dv) <= floor:
+            point = ", ".join(repr(complex(c)) for c in np.ravel(z))
+            raise NearPole("denominator magnitude %g at [%s] is below the pole floor %g"
+                           % (abs(dv), point, floor))
         return self.num.evaluate(z) / dv
 
     def eval_many(self, Z, den_floor_rtol=DEN_FLOOR_RTOL):
@@ -106,19 +107,21 @@ class RationalMatrixFunction:
         )
 
 
+def _identity_rule(diff, operands, rtol):
+    """The identity rule, on coefficient arrays: whether max|diff| is at
+    most rtol times the largest coefficient magnitude among the operands."""
+    scale = max(np.abs(u).max(initial=0.0) for u in operands)
+    return bool(np.abs(diff).max(initial=0.0) <= rtol * scale)
+
+
 def identity_equal(f, h, rtol=IDENTITY_RTOL):
     """Whether num_f*den_h - num_h*den_f vanishes, at tolerance rtol relative
     to the largest coefficient magnitude among the four operands."""
     if f.d != h.d or f.m != h.m:
         return False
-    scale = max(
-        f.num.max_coeff_magnitude(),
-        f.den.max_coeff_magnitude(),
-        h.num.max_coeff_magnitude(),
-        h.den.max_coeff_magnitude(),
-    )
     diff = f.num * h.den - h.num * f.den
-    return diff.max_coeff_magnitude() <= rtol * scale
+    operands = (f.num, f.den, h.num, h.den)
+    return _identity_rule(diff._coeffs, [p._coeffs for p in operands], rtol)
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +267,7 @@ def _gcd_degree(u, v, drop_tol=GCD_DROP_TOL):
         u, v = v, r / r[-1]
 
 
-def coprime_probe(f, lines=8, seed=0xDA71):
+def coprime_probe(f, lines=8, seed=DEFAULT_SEED):
     """Probe whether numerator and denominator share a polynomial factor.
 
     Each numerator entry that is not identically zero, plus one random

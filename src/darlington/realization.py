@@ -5,9 +5,9 @@ the right half-plane, realize_1d produces a, b, c, d such that the block
 [[a, b], [c, d]] is again positive-real and closing the loop with a unit
 load recovers the input: f(s) = a(s) - b(s) c(s) / (d(s) + 1).
 
-With n = deg den, pt1 and qt2 are the parts of the normalized real num and
-den whose degrees have the parity of n, and pt2 and qt1 are the other
-parts.  Then a = pt1/qt1, d = qt2/qt1 and b c = (pt1 qt2 - pt2 qt1)/qt1^2,
+With n = deg den, pt1 and qt2 are the parts of the real num and den of
+f.normalize() whose degrees have the parity of n, and pt2 and qt1 are the
+other parts.  Then a = pt1/qt1, d = qt2/qt1 and b c = (pt1 qt2 - pt2 qt1)/qt1^2,
 so the closure is (pt1 + pt2)/(qt1 + qt2) = f.  The four parts are the
 one-variable lift's halves p1, p2, q1, q2 rotated back to this frame, each
 times one unit constant that every ratio cancels (a tested fact).  The
@@ -30,7 +30,8 @@ import numpy as np
 
 from .checks import _imag_coeff_excess, _quiet
 from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
-from .rational import RationalMatrixFunction, _coeffs, _negate_argument, _poly1, _sub, _trim
+from .rational import (RationalMatrixFunction, _coeffs, _identity_rule, _negate_argument, _poly1,
+                       _sub, _trim)
 
 SPLIT_STRUCTURE_RTOL = 1e-7
 SPLIT_IDENTITY_RTOL = 1e-7
@@ -109,19 +110,18 @@ class LFTRealization:
 
 
 def _identity_holds(num_f, den_f, num_h, den_h, rtol):
-    """identity_equal's rule on coefficient arrays: whether num_f*den_h -
-    num_h*den_f is within rtol of the largest operand coefficient.  Raises
-    NonFiniteCoefficient when the cross product overflows."""
+    """identity_equal on coefficient arrays: whether num_f*den_h - num_h*den_f
+    vanishes by ``_identity_rule``.  Raises NonFiniteCoefficient when the
+    cross product overflows."""
     diff = _sub(np.convolve(num_f, den_h), np.convolve(num_h, den_f))
     if not np.isfinite(diff).all():
         raise NonFiniteCoefficient("non-finite coefficient in a cross product")
-    scale = max(np.abs(u).max() for u in (num_f, den_f, num_h, den_h))
-    return bool(np.abs(diff).max() <= rtol * scale)
+    return _identity_rule(diff, (num_f, den_f, num_h, den_h), rtol)
 
 
 def _over(u, den):
     """The entry with numerator coefficients u over den, a monic MatrixPoly."""
-    return RationalMatrixFunction(_poly1(u), den, normalized=True)
+    return RationalMatrixFunction(_poly1(u), den)
 
 
 def _split_coupling(v):
@@ -178,7 +178,7 @@ def _coupling(pt1, pt2, qt1, qt2, den):
 def _overflow_names(stage, half):
     """Re-raise an overflow naming the stage and the input denominator term
     behind it: the realization divides only by the leading coefficient of
-    ``half`` (None: no division), a term of the normalized denominator."""
+    ``half`` (None: no division), a term of the denominator after normalize()."""
     try:
         yield
     except NonFiniteCoefficient as exc:
@@ -197,8 +197,8 @@ def realize_1d(f):
 
     Returns an LFTRealization whose loop closure equals f as an exact
     rational identity (checked; ReconstructionMismatch otherwise).  Raises
-    DimensionMismatch unless f is scalar, of one variable and, once
-    normalized, has real coefficients.  An overflow raises
+    DimensionMismatch unless f is scalar, of one variable and, after
+    normalize(), has real coefficients.  An overflow raises
     NonFiniteCoefficient naming the stage, without a numpy warning.
     """
     if f.m != 1:
@@ -206,7 +206,7 @@ def realize_1d(f):
                                 % (f.m, f.m))
     if f.d != 1:
         raise DimensionMismatch("input has %d variables; expected 1" % f.d)
-    source = f if f.normalized else f.normalize()
+    source = f.normalize()
     imag = max(_imag_coeff_excess(source.num), _imag_coeff_excess(source.den))
     if imag:
         raise DimensionMismatch("input has non-real coefficients (largest imaginary part %r "

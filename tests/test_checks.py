@@ -3,7 +3,7 @@
 import json
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from darlington import checks
 from darlington.checks import (
     OVERFLOW_NOTE,
     POLE_NOTE,
+    PencilProbe,
     SingularCayley,
     disk_to_upper,
     double_cayley_eval,
@@ -233,6 +234,30 @@ def test_real_stable_delegates_to_zero_hunt():
     rep = check_real_stable(sp(1, {(2,): 1.0, (0,): 1.0}), FAST)
     assert rep.verdict == "fail"
     assert "abs_value" in rep.witness
+
+
+@pytest.mark.parametrize("route, check", [
+    (lambda: check_real_stable(MatrixPoly.zero(1), FAST), "real-stable"),
+    (lambda: check_real_stable(MatrixPoly.constant(0, 2.0), FAST), "real-stable"),
+    (lambda: check_real_stable(sp(1, {(1,): 1.0, (0,): 1j}), FAST), "real-stable"),
+    (lambda: check_real_stable(sp(1, {(2,): 1.0, (0,): 1.0}), FAST), "real-stable"),
+    (lambda: pencil_probe(sp(1, {(1,): 1.0}), one(1), FAST), "pencil-real-stable"),
+    (lambda: lemma11_probe(sp(1, {(2,): 1.0}), one(1), FAST, members=5), "combined-stable"),
+], ids=["zero", "constant", "non-real", "hunted", "pencil", "lemma11-combined"])
+def test_each_route_builds_its_report_under_its_name(route, check):
+    # reports and probe results are frozen, so the name is the one each was built with
+    out = route()
+    rep = out.combined if isinstance(out, PencilProbe) else out
+    assert rep.check == check
+    with pytest.raises(FrozenInstanceError):
+        rep.check = "stable"
+    with pytest.raises(FrozenInstanceError):
+        out.seed = 0
+
+
+def test_lemma11_rejects_a_negative_member_count():
+    with pytest.raises(ValueError, match="members must be at least 0, got -1"):
+        lemma11_probe(sp(1, {(1,): 1.0}), one(1), FAST, members=-1)
 
 
 # ----------------------------------------------------------------------
@@ -706,10 +731,10 @@ def test_descent_iterations_do_not_depend_on_the_batch():
     counts = set()
     for p, q in pairs:
         # the combined polynomial and four members, as lemma11_probe batches them
-        jobs = [(p + q.scaled(1j), FAST)]
+        jobs = [("combined-stable", p + q.scaled(1j), FAST, False)]
         for k, theta in enumerate(np.linspace(0.3, 2.8, 4)):
             member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
-            jobs.append((member, replace(FAST, seed=k + 1, count=40)))
+            jobs.append(("real-stable", member, replace(FAST, seed=k + 1, count=40), True))
         batched = checks._hunt(jobs, Tolerances())
         for job, rep in zip(jobs, batched):
             assert checks._hunt([job], Tolerances())[0].to_dict() == rep.to_dict()

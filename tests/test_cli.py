@@ -351,8 +351,10 @@ def test_eval_negative_coordinate(neg_inv, capsys):
 
 
 def test_eval_near_pole(neg_inv, capsys):
-    code, _ = run(capsys, ["eval", neg_inv, "--at=-1j"])
+    code = main(["eval", neg_inv, "--at=-1j"])
+    err = capsys.readouterr().err
     assert code == 7
+    assert "array(" not in err and "below the pole floor 1e-12" in err
 
 
 def test_eval_wrong_arity(neg_inv, capsys):
