@@ -11,7 +11,7 @@ fail to find one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -76,7 +76,8 @@ class Tolerances:
     den_floor: float = DEN_FLOOR_RTOL
 
     def to_dict(self):
-        return asdict(self)
+        return {"psd_slack": self.psd_slack, "reality_slack": self.reality_slack,
+                "den_floor": self.den_floor}
 
 
 def _setup(config, tolerances):
@@ -395,9 +396,13 @@ def _hunt(jobs, tols):
 
     names, polys, cfgs, _ = zip(*(jobs[i] for i in hunted))
     d = polys[0].d
-    basis = MatrixPoly(d, 1, {e: 1.0 for p in polys for e in p.terms})
-    coeffs = np.array([[p.terms[e][0, 0] if e in p.terms else 0.0 for e, _ in basis.ordered_terms()]
-                       for p in polys], dtype=np.complex128)
+    keys = list(dict.fromkeys(e for p in polys for e in p.terms))
+    basis = MatrixPoly._from_stack(d, 1, keys, np.ones((len(keys), 1, 1), dtype=np.complex128))
+    # coeffs[g, j]: polys[g]'s coefficient at the j-th term of basis's plan
+    col = dict(zip((keys[i] for i in basis._grlex_order()), range(len(keys))))
+    coeffs = np.zeros((len(polys), len(keys)), dtype=np.complex128)
+    for g, p in enumerate(polys):
+        coeffs[g, [col[e] for e in p.terms]] = p._coeffs[:, 0, 0]
     pts = [upper_points(cfg, np.random.default_rng(cfg.seed), d) for cfg in cfgs]
     sizes = [len(x) for x in pts]
     vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0)[:, None], np.vstack(pts))[:, 0])
@@ -440,7 +445,7 @@ def check_stable(p, config=None, tolerances=None):
 def _imag_coeff_excess(p):
     """The largest imaginary part among p's coefficients, when it exceeds
     COEFF_REAL_RTOL times the largest coefficient magnitude; 0.0 otherwise."""
-    worst = float(np.abs(np.array(list(p.terms.values())).imag).max(initial=0.0))
+    worst = float(np.abs(p._coeffs.imag).max(initial=0.0))
     return worst if worst > COEFF_REAL_RTOL * max(p.max_coeff_magnitude(), 1e-300) else 0.0
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .poly import MatrixPoly, NonFiniteCoefficient
 from .rational import RationalMatrixFunction
 
@@ -41,15 +43,34 @@ class Decomposition:
         )
 
 
+def _halves(p):
+    """(p - p*)(-i/2) and (p + p*)/2 with p* = p.bar_reflect(), on p's stack.
+
+    The same float operations as ``(p - p.bar_reflect()).scaled(-0.5j)`` and
+    its sibling; a term that cancels stays zero when scaled, so dropping
+    zeros once, after scaling, keeps the same terms.
+    """
+    keys, c = list(p.terms), p._coeffs
+    star = c.conj().transpose(0, 2, 1)
+    return (MatrixPoly._from_stack(p.d, p.m, keys, (c - star) * -0.5j),
+            MatrixPoly._from_stack(p.d, p.m, keys, (c + star) * 0.5))
+
+
 def decompose(f):
     """Split f.normalize() into Hermitian/real coefficient halves."""
     g = f.normalize()
-    num, den = g.num, g.den
-    p1 = (num - num.bar_reflect()).scaled(-0.5j)
-    p2 = (num + num.bar_reflect()).scaled(0.5)
-    q1 = (den - den.bar_reflect()).scaled(-0.5j)
-    q2 = (den + den.bar_reflect()).scaled(0.5)
-    return Decomposition(p1, p2, q1, q2)
+    return Decomposition(*_halves(g.num), *_halves(g.den))
+
+
+def _pencil(hi, lo):
+    """z_new * hi + lo in one more variable: the rows (e, 1) of hi, each the
+    product with z_new's coefficient 1 that ``MatrixPoly.__mul__`` forms
+    (that product can change the sign of a zero), then the rows (e, 0) of lo."""
+    one, right = np.ones((1, 1, 1, 1), dtype=np.complex128), hi._coeffs[None]
+    top = np.matmul(one, right) if hi.m == 1 else one * right
+    keys = [e + (1,) for e in hi.terms] + [e + (0,) for e in lo.terms]
+    return MatrixPoly._from_stack(hi.d + 1, hi.m, keys,
+                                  np.concatenate((top.reshape(-1, hi.m, hi.m), lo._coeffs)))
 
 
 @dataclass(frozen=True)
@@ -64,11 +85,8 @@ class DarlingtonLift:
 def lift(f):
     """Lift f (upper-half-plane frame) to d+1 variables with value f at z_new = i."""
     g = f.normalize()
-    pieces = decompose(g)
-    d = g.d
-    z_new = MatrixPoly.variable(d + 1, d)
-    num = z_new * pieces.p1.append_variable() + pieces.p2.append_variable()
-    den = z_new * pieces.q1.append_variable() + pieces.q2.append_variable()
+    pieces = Decomposition(*_halves(g.num), *_halves(g.den))
+    num, den = _pencil(pieces.p1, pieces.p2), _pencil(pieces.q1, pieces.q2)
     try:
         lifted = RationalMatrixFunction(num, den).normalize()
     except NonFiniteCoefficient as exc:

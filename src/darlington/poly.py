@@ -73,9 +73,15 @@ class MatrixPoly:
 
     @classmethod
     def _from_stack(cls, d, m, keys, coeffs):
-        """The polynomial with terms ``keys[i] -> coeffs[i]``; the keys are
-        distinct, and ``coeffs`` is a (T, m, m) complex array that nothing
-        else writes to."""
+        """The polynomial with terms ``keys[i] -> coeffs[i]``: the internal
+        path by which the library builds every polynomial it computes itself.
+
+        The caller guarantees what ``__init__`` checks term by term: the keys
+        are distinct tuples of d non-negative ints, and ``coeffs`` is a
+        (T, m, m) complex128 array that nothing else writes to (it is frozen
+        in place).  ``_freeze`` still rejects a non-finite coefficient,
+        naming its exponent, and drops exact-zero terms.
+        """
         p = object.__new__(cls)
         p._freeze(d, m, keys, coeffs)
         return p

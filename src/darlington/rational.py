@@ -169,15 +169,16 @@ def _sub(u, v):
 def _coeffs(p):
     """Coefficients of a univariate MatrixPoly, as an (n, m, m) stack (one
     zero matrix when it is zero)."""
-    out = np.zeros((max(p.total_degree(), 0) + 1, p.m, p.m), dtype=np.complex128)
-    for e, arr in p.terms.items():
-        out[e[0]] = arr
+    e = p._exponents()[:, 0]
+    out = np.zeros((e.max(initial=0) + 1, p.m, p.m), dtype=np.complex128)
+    out[e] = p._coeffs
     return out
 
 
 def _poly1(u):
     """The scalar univariate MatrixPoly with coefficients u."""
-    return MatrixPoly.from_scalar_terms(1, {(k,): c for k, c in enumerate(u)})
+    u = np.array(u, dtype=np.complex128).reshape(-1, 1, 1)
+    return MatrixPoly._from_stack(1, 1, [(k,) for k in range(len(u))], u)
 
 
 def _negate_argument(u):
@@ -299,7 +300,7 @@ def coprime_probe(f, lines=8, seed=DEFAULT_SEED):
     if num.is_zero():
         weights, sv_scale = np.zeros((1, m * m)), np.zeros(1)
     else:
-        stack = np.array(list(num.terms.values()))
+        stack = num._coeffs
         weights = list(np.eye(m * m)[stack.any(axis=0).ravel()])
         for _ in range(20):
             eta = rng.standard_normal(m) + 1j * rng.standard_normal(m)

@@ -79,12 +79,15 @@ class LFTRealization:
 
     def block(self):
         """The 2 x 2 matrix function [[a, b], [c, d]] over the shared a.den."""
-        terms = {}
-        for k, g in enumerate((self.a, self.b, self.c, self.d)):
-            for e, arr in g.num.terms.items():
-                terms.setdefault(e, np.zeros((2, 2), dtype=np.complex128))
-                terms[e][divmod(k, 2)] = arr[0, 0]
-        return RationalMatrixFunction(MatrixPoly(1, 2, terms), self.a.den)
+        entries = [g.num for g in (self.a, self.b, self.c, self.d)]
+        # the terms in order of first appearance over a, b, c, d
+        keys = list(dict.fromkeys(e for p in entries for e in p.terms))
+        row = {e: i for i, e in enumerate(keys)}
+        stack = np.zeros((len(keys), 4), dtype=np.complex128)
+        for k, p in enumerate(entries):
+            stack[[row[e] for e in p.terms], k] = p._coeffs[:, 0, 0]
+        return RationalMatrixFunction(MatrixPoly._from_stack(1, 2, keys, stack.reshape(-1, 2, 2)),
+                                      self.a.den)
 
     def _closed(self):
         """Numerator and denominator coefficients of the loop closure."""

@@ -29,6 +29,23 @@ def rmf(num, den):
     return RationalMatrixFunction(num, den)
 
 
+def signed_zero_poly(rng, d, m, nterms, max_deg=2):
+    """Small-integer coefficients, so that sums cancel to exact zeros, with
+    +0.0 and -0.0 in both parts and some non-integer entries."""
+    terms = {}
+    for _ in range(nterms):
+        e = tuple(int(x) for x in rng.integers(0, max_deg + 1, size=d))
+        coeff = np.empty((m, m), dtype=np.complex128)
+        # set the parts apart: re + 1j * im would turn an imaginary -0.0 into +0.0
+        coeff.real = rng.integers(-2, 3, (m, m))
+        coeff.imag = rng.integers(-2, 3, (m, m))
+        coeff.real[rng.random((m, m)) < 0.3] = -0.0
+        coeff.imag[rng.random((m, m)) < 0.3] = -0.0
+        coeff.imag[rng.random((m, m)) < 0.2] = rng.standard_normal()
+        terms[e] = coeff
+    return MatrixPoly(d, m, terms)
+
+
 def _psd(rng, m):
     r = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return r @ r.conj().T + 0.1 * np.eye(m)
@@ -122,6 +139,29 @@ def herglotz_cases():
     cases.append(FunctionCase("const-minus-inv-3var", rmf(num14, den14), False))
 
     return cases
+
+
+def herglotz_function(rng, d, m, poles):
+    """A0 + sum_k B_k z_k - sum_j C_j / l_j(z) with A0 Hermitian, B_k and C_j
+    positive definite and l_j = a.z + b + i c with a > 0, c > 0: Herglotz,
+    over the common denominator prod_j l_j."""
+    ells = []
+    for _ in range(poles):
+        terms = {(0,) * d: complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))}
+        terms.update({tuple(int(i == k) for i in range(d)): rng.uniform(0.5, 2) for k in range(d)})
+        ells.append(sp(d, terms))
+    affine = {(0,) * d: _herm(rng, m)}
+    affine.update({tuple(int(i == k) for i in range(d)): _psd(rng, m) for k in range(d)})
+    den = one(d)
+    for ell in ells:
+        den = den * ell
+    num = MatrixPoly(d, m, affine) * den
+    for j in range(poles):
+        rest = MatrixPoly.constant(d, _psd(rng, m))
+        for ell in ells[:j] + ells[j + 1:]:
+            rest = rest * ell
+        num = num - rest
+    return rmf(num, den)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import json
 import re
 import warnings
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -228,6 +228,10 @@ def test_realness_threshold_shared_by_real_stable_and_pencil():
 def test_tolerances_to_dict_keeps_field_order():
     assert list(Tolerances().to_dict().items()) == [
         ("psd_slack", 1e-8), ("reality_slack", 1e-8), ("den_floor", 1e-12)]
+    tols = Tolerances(2e-7, 3e-9, 4e-11)
+    assert list(tols.to_dict().items()) == list(asdict(tols).items())
+    tols.to_dict()["psd_slack"] = 1.0     # a fresh dict per call
+    assert tols.to_dict()["psd_slack"] == 2e-7
 
 
 def test_real_stable_delegates_to_zero_hunt():

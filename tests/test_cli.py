@@ -236,6 +236,16 @@ def test_realize1d_reports_block(pr_simple, capsys):
     assert doc["verdicts"]["block-positive-real"] == "pass"
 
 
+def test_realize1d_reports_a_second_order_ladder(tmp_path, capsys):
+    # (2s^2 + 2s + 1)/(s^2 + s + 1), the document the console-script CI step runs
+    f = RationalMatrixFunction(sp(1, {(2,): 2.0, (1,): 2.0, (0,): 1.0}),
+                               sp(1, {(2,): 1.0, (1,): 1.0, (0,): 1.0}))
+    code, doc = run(capsys, ["realize1d", write(tmp_path, "ladder.json", f, "positive-real")])
+    assert code == 0
+    assert doc["verdicts"] == {"block-positive-real": "pass", "reconstruction": "pass"}
+    assert doc["witnesses"]["realization"]["variant"] == "lft"
+
+
 def test_realize1d_rejects_wrong_frame(neg_inv, capsys):
     code, _ = run(capsys, ["realize1d", neg_inv] + FAST)
     assert code == 3

@@ -21,9 +21,9 @@ from darlington import (
 )
 from darlington.lift import decompose
 from darlington.poly import NonFiniteCoefficient
-from darlington.rational import _coeffs
+from darlington.rational import _coeffs, _poly1
 from darlington.realization import SPLIT_IDENTITY_RTOL, _identity_holds
-from corpus import herglotz_cases, ladder_cases
+from corpus import herglotz_cases, herglotz_function, ladder_cases, signed_zero_poly
 
 
 def sp(d, coeffs):
@@ -112,6 +112,91 @@ def test_lift_lands_in_boundary_class():
     for case in herglotz_cases():
         rep = check_cayley_inner(lift(case.f).lifted)
         assert rep.verdict == "pass", "%s: %r" % (case.name, rep.witness)
+
+
+# The MatrixPoly arithmetic that the lift's stack code replaced, kept as its
+# bitwise reference.
+
+def arithmetic_halves(p):
+    return (p - p.bar_reflect()).scaled(-0.5j), (p + p.bar_reflect()).scaled(0.5)
+
+
+def arithmetic_pencil(hi, lo):
+    return MatrixPoly.variable(hi.d + 1, hi.d) * hi.append_variable() + lo.append_variable()
+
+
+def assert_same_poly(got, want):
+    """Same term order and the same coefficient bits, signs of zero included."""
+    assert (got.d, got.m, list(got.terms)) == (want.d, want.m, list(want.terms))
+    for e, a in want.terms.items():
+        assert np.array_equal(got.terms[e].view(np.uint64), a.view(np.uint64)), e
+
+
+def signed_zero_functions():
+    """Quotients of small-integer polynomials with -0.0 in the real and the
+    imaginary parts, whose halves and pencil rows cancel to exact zeros."""
+    rng = np.random.default_rng(20)
+    fs = [RationalMatrixFunction(sp(1, {(1,): complex(2.0, -0.0), (0,): complex(-0.0, 1.0)}),
+                                 sp(1, {(1,): complex(1.0, -0.0), (0,): complex(-0.0, 1.0)}))]
+    while len(fs) < 40:
+        d, m = int(rng.integers(1, 4)), int(rng.choice([1, 2, 4]))
+        den = signed_zero_poly(rng, d, 1, 4)
+        if not den.is_zero():
+            fs.append(RationalMatrixFunction(signed_zero_poly(rng, d, m, 5), den))
+    return fs
+
+
+def lift_inputs():
+    rng = np.random.default_rng(21)
+    fs = [case.f for case in herglotz_cases()]
+    fs += [herglotz_function(rng, d, m, poles) for m in (1, 2, 4) for d in (1, 2, 3)
+           for poles in (2, 3)]
+    return fs + signed_zero_functions()
+
+
+def test_lift_stacks_are_bit_identical_to_polynomial_arithmetic():
+    fs = lift_inputs()
+    zeros = np.concatenate([np.ravel(p._coeffs) for f in fs for p in (f.num, f.den)])
+    assert np.signbit(zeros[zeros.imag == 0].imag).any()
+    assert np.signbit(zeros[zeros.real == 0].real).any()
+    for f in fs:
+        g = f.normalize()
+        want = arithmetic_halves(g.num) + arithmetic_halves(g.den)
+        L = lift(f)
+        for pieces in (decompose(f), L.pieces):
+            for got, ref in zip((pieces.p1, pieces.p2, pieces.q1, pieces.q2), want):
+                assert_same_poly(got, ref)
+        ref = RationalMatrixFunction(arithmetic_pencil(*want[:2]),
+                                     arithmetic_pencil(*want[2:])).normalize()
+        assert_same_poly(L.lifted.num, ref.num)
+        assert_same_poly(L.lifted.den, ref.den)
+
+
+def test_lift_needs_no_matrix_poly_arithmetic(monkeypatch):
+    fs = lift_inputs()
+
+    def refuse(*args):
+        raise AssertionError("MatrixPoly arithmetic inside the lift")
+
+    for name in ("__init__", "__add__", "__mul__", "__neg__", "scaled", "bar_reflect",
+                 "append_variable"):
+        monkeypatch.setattr(MatrixPoly, name, refuse)
+    for f in fs:
+        lift(f)
+
+
+def test_lift_normalizes_input_and_pencil_once_each(monkeypatch):
+    normalize, calls = RationalMatrixFunction.normalize, []
+
+    def counted(self):
+        calls.append(self.d)
+        return normalize(self)
+
+    monkeypatch.setattr(RationalMatrixFunction, "normalize", counted)
+    for case in herglotz_cases():
+        calls.clear()
+        lift(case.f)
+        assert calls == [case.f.d, case.f.d + 1], case.name
 
 
 # ----------------------------------------------------------------------
@@ -282,11 +367,78 @@ def test_realize_needs_no_matrix_poly_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("MatrixPoly arithmetic inside the realization")
 
-    for name in ("__mul__", "__add__", "scale_variables"):
+    for name in ("__init__", "__mul__", "__add__", "scale_variables"):
         monkeypatch.setattr(MatrixPoly, name, refuse)
     real = realize_1d(f)
     assert real.variant == "lft"
     real.closure()
+    real.block()
+
+
+# The term dicts that the realization's stacks replaced, kept as their
+# bitwise reference.
+
+def term_dict_poly1(u):
+    return MatrixPoly.from_scalar_terms(1, {(k,): c for k, c in enumerate(u)})
+
+
+def term_dict_block(real):
+    terms = {}
+    for k, g in enumerate((real.a, real.b, real.c, real.d)):
+        for e, arr in g.num.terms.items():
+            terms.setdefault(e, np.zeros((2, 2), dtype=np.complex128))
+            terms[e][divmod(k, 2)] = arr[0, 0]
+    return MatrixPoly(1, 2, terms)
+
+
+def term_loop_coeffs(p):
+    out = np.zeros((max(p.total_degree(), 0) + 1, p.m, p.m), dtype=np.complex128)
+    for e, arr in p.terms.items():
+        out[e[0]] = arr
+    return out
+
+
+def test_realization_stacks_are_bit_identical_to_term_dicts():
+    sources = [lad.function() for lad in ladder_cases(12, range(1, 25), 3)]
+    sources += [g for _, g in real_rotated_herglotz_cases()]
+    sources += [pr({(2,): 1.0, (0,): 3.0}, {(1,): 2.0}),        # lossless-trivial
+                pr({(1,): 1.0, (0,): 2.0}, {(0,): 4.0}),        # affine-residual
+                pr({(0,): 1.0, (1,): 2.0, (2,): 2.0}, {(2,): 1.0, (0,): 1.0, (1,): 1.0})]
+    variants = []
+    for f in sources:
+        try:
+            real = realize_1d(f)
+        except SplitFailed:
+            continue   # realize_1d still refuses some valid ladders above order 20
+        variants.append(real.variant)
+        assert_same_poly(real.block().num, term_dict_block(real))
+        for u in real._closed():
+            assert_same_poly(_poly1(u), term_dict_poly1(u))
+        for g in (real.a, real.b, real.c, real.d, real.block(), real.source):
+            for p in (g.num, g.den):
+                assert np.array_equal(_coeffs(p).view(np.uint64),
+                                      term_loop_coeffs(p).view(np.uint64))
+    assert len(variants) > 70
+    assert set(variants) == {"lft", "affine-residual", "lossless-trivial"}
+
+
+@pytest.mark.parametrize("u", [[], [0.0], [-0.0, 2.0, 0.0], [1.5, -0.0, -3.0],
+                               np.array([complex(-0.0, -0.0), complex(1.0, -0.0),
+                                         complex(-0.0, 2.0), 0.0])])
+def test_poly1_is_bit_identical_to_from_scalar_terms(u):
+    # _poly1([]) and _poly1([0.0]) are the zero polynomial in one variable
+    assert_same_poly(_poly1(u), term_dict_poly1(u))
+    assert _poly1(u).is_zero() == (not np.count_nonzero(u))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_poly1_names_a_non_finite_coefficient(bad):
+    u = [1.0, 0.0, bad, 2.0]
+    with pytest.raises(NonFiniteCoefficient) as ref:
+        term_dict_poly1(u)
+    with pytest.raises(NonFiniteCoefficient, match=r"^non-finite coefficient at \(2,\)$") as got:
+        _poly1(u)
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("c", [1e-13, 1e-20])

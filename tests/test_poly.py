@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from darlington import DimensionMismatch, MatrixPoly
+from corpus import signed_zero_poly
 
 
 def rand_poly(rng, d, m, nterms=4, max_deg=3):
@@ -247,21 +248,6 @@ def assert_same_terms(got, ref_terms):
     assert list(got.terms) == list(ref)
     for e, a in ref.items():
         assert got.terms[e].tobytes() == np.asarray(a, dtype=np.complex128).tobytes()
-
-
-def signed_zero_poly(rng, d, m, nterms, max_deg=2):
-    """Small-integer coefficients, so that sums cancel to exact zeros, with
-    +0.0 and -0.0 in both parts and some non-integer entries."""
-    terms = {}
-    for _ in range(nterms):
-        e = tuple(int(x) for x in rng.integers(0, max_deg + 1, size=d))
-        re = rng.integers(-2, 3, (m, m)).astype(float)
-        im = rng.integers(-2, 3, (m, m)).astype(float)
-        re[rng.random((m, m)) < 0.3] = -0.0
-        im[rng.random((m, m)) < 0.3] = -0.0
-        im[rng.random((m, m)) < 0.2] = rng.standard_normal()
-        terms[e] = re + 1j * im
-    return MatrixPoly(d, m, terms)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
