@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .lift import _pencil
 from .poly import MatrixPoly
 from .rational import DEFAULT_SEED, DEN_FLOOR_RTOL, RationalMatrixFunction
 
@@ -499,9 +500,7 @@ def _scalar_pair(p, q, real):
 def pencil_probe(p, q, config=None, tolerances=None):
     """Real-stability falsifier for p + z_new * q in one extra variable."""
     p, q = _scalar_pair(p, q, real=True)
-    d = p.d
-    pencil = p.append_variable() + MatrixPoly.variable(d + 1, d) * q.append_variable()
-    return _hunt([("pencil-real-stable", pencil, config or SampleConfig(), True)],
+    return _hunt([("pencil-real-stable", _pencil(q, p), config or SampleConfig(), True)],
                  tolerances or Tolerances())[0]
 
 

@@ -284,51 +284,42 @@ class MatrixPoly:
         return self.evaluate_many(np.reshape(np.asarray(z, dtype=np.complex128), (1, -1)))[0]
 
     def _evaluation_plan(self):
-        """Coefficient stack and per-variable power table, built once.
-
-        Returns ``(coeffs, powers)``: ``coeffs`` is the (T, m, m) stack of
-        coefficients in graded-lex order, highest first, and ``powers[k]`` is
-        ``(ks, inv)``: the distinct exponents of variable k as a complex
-        column (``Z ** e`` computes in complex too) and, per term, the index
-        of its exponent in ``ks``.
-        """
+        """``(coeffs, exps)``, built once: the (T, m, m) coefficient stack and
+        the (T, d) exponent array, rows in graded-lex order, highest first."""
         if self._plan is None:
             order = self._grlex_order()
-            exps = self._exponents()[order]
-            powers = []
-            for k in range(self.d):
-                ks, inv = np.unique(exps[:, k], return_inverse=True)
-                powers.append((ks.astype(np.complex128)[:, None], inv))
-            object.__setattr__(self, "_plan", (self._coeffs[order], tuple(powers)))
+            object.__setattr__(self, "_plan", (self._coeffs[order], self._exponents()[order]))
         return self._plan
 
     def evaluate_many(self, Z):
         """Vectorized evaluation.  Z: (n, d) array -> (n, m, m) array.
 
-        Bit-identical to adding ``coeff * prod(z ** e)`` term by term in
-        graded-lex order.  Each distinct power is computed once per call, but
-        every monomial is still a ``prod`` over a contiguous last axis of d
-        factors, and every term is still multiplied and added on its own with
-        the same broadcast shapes: numpy's vectorized complex multiply rounds
-        differently from the scalar loop such a ``prod`` runs, and which of
-        the two a product takes depends on the operands' shapes.
+        One product of the ``monomials`` table with the coefficient stack:
+        the same bytes from run to run at a fixed BLAS thread count, and
+        within ``1e-14 * sum_t |c_t| |z ** e_t|`` of adding the terms one by
+        one, but not bit-identical to that loop (the product sums in its own
+        order).
         """
-        mono = self.monomials(Z)
-        out = np.zeros((mono.shape[1], self.m, self.m), dtype=np.complex128)
-        for j, a in enumerate(self._evaluation_plan()[0]):
-            out += mono[j, :, None, None] * a[None, :, :]
-        return out
+        mono, coeffs = self.monomials(Z), self._evaluation_plan()[0]
+        return (mono.T @ coeffs.reshape(len(coeffs), self.m ** 2)).reshape(-1, self.m, self.m)
 
     def monomials(self, Z):
         """Every term's monomial ``prod(z ** e)`` at every point, as a (T, n)
-        array, terms in plan (graded-lex) order.  Z: (n, d) array."""
+        array, terms in plan (graded-lex) order.  Z: (n, d) array.  Row r is
+        bit for bit the same whatever batch Z[r] shares."""
         Z = np.asarray(Z, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.d:
             raise DimensionMismatch("expected point array of shape (n, %d)" % self.d)
-        coeffs, powers = self._evaluation_plan()
-        factors = np.empty((len(coeffs), Z.shape[0], self.d), dtype=np.complex128)
-        for k, (ks, inv) in enumerate(powers):
-            factors[:, :, k] = (Z[None, :, k] ** ks)[inv]
+        exps = self._evaluation_plan()[1]
+        pw = np.ones((int(exps.max(initial=0)) + 1,) + Z.shape, dtype=np.complex128)
+        for k in range(1, len(pw)):
+            np.multiply(pw[k - 1], Z, out=pw[k])
+        # the factors sit on a contiguous last axis: a prod over a strided
+        # axis takes numpy's vectorized multiply, which rounds a point
+        # differently depending on how many points share the batch
+        factors = np.empty((len(exps), Z.shape[0], self.d), dtype=np.complex128)
+        for k in range(self.d):
+            factors[:, :, k] = pw[exps[:, k], :, k]
         return factors.prod(axis=2)
 
     # ------------------------------------------------------------------

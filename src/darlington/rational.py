@@ -107,11 +107,12 @@ class RationalMatrixFunction:
         )
 
 
-def _identity_rule(diff, operands, rtol):
-    """The identity rule, on coefficient arrays: whether max|diff| is at
-    most rtol times the largest coefficient magnitude among the operands."""
+def _identity_gap(diff, operands, rtol):
+    """The identity rule's two sides, on coefficient arrays: max|diff| and
+    rtol times the largest coefficient magnitude among the operands.  The
+    identity holds when the first is at most the second."""
     scale = max(np.abs(u).max(initial=0.0) for u in operands)
-    return bool(np.abs(diff).max(initial=0.0) <= rtol * scale)
+    return float(np.abs(diff).max(initial=0.0)), float(rtol * scale)
 
 
 def identity_equal(f, h, rtol=IDENTITY_RTOL):
@@ -121,7 +122,8 @@ def identity_equal(f, h, rtol=IDENTITY_RTOL):
         return False
     diff = f.num * h.den - h.num * f.den
     operands = (f.num, f.den, h.num, h.den)
-    return _identity_rule(diff._coeffs, [p._coeffs for p in operands], rtol)
+    worst, bound = _identity_gap(diff._coeffs, [p._coeffs for p in operands], rtol)
+    return worst <= bound
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from .checks import _imag_coeff_excess, _quiet
 from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
-from .rational import (RationalMatrixFunction, _coeffs, _identity_rule, _negate_argument, _poly1,
+from .rational import (RationalMatrixFunction, _coeffs, _identity_gap, _negate_argument, _poly1,
                        _sub, _trim)
 
 SPLIT_STRUCTURE_RTOL = 1e-7
@@ -40,8 +40,12 @@ SPLIT_IDENTITY_RTOL = 1e-7
 class SplitFailed(ArithmeticError):
     """The coupling term could not be factored across s -> -s.
 
-    The input was not positive-real: the factorization constant came out
-    non-positive, or the stable factor not real.
+    The factorization constant came out non-positive or the stable factor
+    not real, as for an input that is not positive-real; or the factored
+    coupling missed b*c at SPLIT_IDENTITY_RTOL, which also refuses valid
+    inputs of high order (of 40 seeded lossy ladders per order: none of
+    order 16, 1 of order 20, 29 of order 24).  A refusal is never a wrong
+    closure.
     """
 
 
@@ -112,14 +116,17 @@ class LFTRealization:
         return RationalMatrixFunction(*map(_poly1, self._closed()))
 
 
-def _identity_holds(num_f, den_f, num_h, den_h, rtol):
-    """identity_equal on coefficient arrays: whether num_f*den_h - num_h*den_f
-    vanishes by ``_identity_rule``.  Raises NonFiniteCoefficient when the
-    cross product overflows."""
+def _require_identity(num_f, den_f, num_h, den_h, error, what, order):
+    """identity_equal on coefficient arrays, at SPLIT_IDENTITY_RTOL: unless
+    num_f*den_h - num_h*den_f vanishes by ``_identity_gap``, raise ``error``
+    saying ``what``, with both sides of the rule and the order deg den.
+    Raises NonFiniteCoefficient when the cross product overflows."""
     diff = _sub(np.convolve(num_f, den_h), np.convolve(num_h, den_f))
     if not np.isfinite(diff).all():
         raise NonFiniteCoefficient("non-finite coefficient in a cross product")
-    return _identity_rule(diff, (num_f, den_f, num_h, den_h), rtol)
+    worst, bound = _identity_gap(diff, (num_f, den_f, num_h, den_h), SPLIT_IDENTITY_RTOL)
+    if not worst <= bound:
+        raise error("%s: max|diff| %r > rtol*scale %r (deg den %d)" % (what, worst, bound, order))
 
 
 def _over(u, den):
@@ -156,7 +163,8 @@ def _split_coupling(v):
 def _coupling(pt1, pt2, qt1, qt2, den):
     """The numerators of b and c, and kappa, with
     b c = (pt1 qt2 - pt2 qt1) / qt1^2 over den = qt1 / lead(qt1), which has
-    only imaginary-axis zeros.  qt1 has a nonzero top coefficient."""
+    only imaginary-axis zeros.  qt1 has a nonzero top coefficient; qt2 is
+    as long as the input denominator."""
     wn = _sub(np.convolve(pt1, qt2), np.convolve(pt2, qt1))
     w_scale = max(np.abs(pt1).max() * np.abs(qt2).max(), np.abs(pt2).max() * np.abs(qt1).max())
     if np.isfinite(wn).all() and np.abs(wn).max() <= 1e-13 * w_scale:
@@ -171,9 +179,8 @@ def _coupling(pt1, pt2, qt1, qt2, den):
     h, kappa = _split_coupling(v)
     sk = np.sqrt(kappa)
     b, c = sk * h, (-1) ** (n + 1) * sk * _negate_argument(h)
-    if not _identity_holds(np.convolve(b, c), np.convolve(den, den),
-                           wn, np.convolve(qt1, qt1), SPLIT_IDENTITY_RTOL):
-        raise SplitFailed("factored coupling does not reproduce b*c")
+    _require_identity(np.convolve(b, c), np.convolve(den, den), wn, np.convolve(qt1, qt1),
+                      SplitFailed, "factored coupling does not reproduce b*c", len(qt2) - 1)
     return b, c, kappa
 
 
@@ -243,7 +250,6 @@ def realize_1d(f):
                               source)
 
     with _overflow_names("closure", half):
-        closed = _identity_holds(*real._closed(), num, den, SPLIT_IDENTITY_RTOL)
-    if not closed:
-        raise ReconstructionMismatch("loop closure does not reproduce the input")
+        _require_identity(*real._closed(), num, den, ReconstructionMismatch,
+                          "loop closure does not reproduce the input", len(den) - 1)
     return real

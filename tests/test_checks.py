@@ -286,6 +286,17 @@ def test_pencil_probe_matches_direct_pencil():
     assert bad.verdict == "fail"
 
 
+def test_pencil_probe_reports_match_the_arithmetic_pencil():
+    # pencil_probe builds p + z_new q from stacks with lift's builder; the
+    # hunt over the pencil that MatrixPoly arithmetic builds reports the same
+    pairs = [(case.p, case.q) for case in pair_cases()]
+    pairs += [(p, q) for p, q, _ in planted_pairs(1)]
+    for p, q in pairs:
+        pencil = p.append_variable() + MatrixPoly.variable(p.d + 1, p.d) * q.append_variable()
+        want = checks._hunt([("pencil-real-stable", pencil, FAST, True)], Tolerances())[0]
+        assert json.dumps(pencil_probe(p, q, FAST).to_dict()) == json.dumps(want.to_dict())
+
+
 def test_pencil_probe_requires_real_pair():
     with pytest.raises(ValueError):
         pencil_probe(sp(1, {(1,): 1j}), one(1), FAST)

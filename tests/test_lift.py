@@ -1,5 +1,6 @@
 """Lift to one more variable, and the one-variable lossless embedding."""
 
+import re
 import warnings
 
 import numpy as np
@@ -19,10 +20,11 @@ from darlington import (
     rotate_to_nevanlinna,
     rotate_to_positive_real,
 )
+from darlington import realization
 from darlington.lift import decompose
 from darlington.poly import NonFiniteCoefficient
 from darlington.rational import _coeffs, _poly1
-from darlington.realization import SPLIT_IDENTITY_RTOL, _identity_holds
+from darlington.realization import SPLIT_IDENTITY_RTOL, ReconstructionMismatch, _require_identity
 from corpus import herglotz_cases, herglotz_function, ladder_cases, signed_zero_poly
 
 
@@ -357,7 +359,11 @@ def test_array_identity_agrees_with_identity_equal():
         off = RationalMatrixFunction(source.num.scaled(1.0 + 1e-6), source.den)
         for h, want in ((source, True), (off, False)):
             arrays = [_coeffs(p)[:, 0, 0] for p in (closure.num, closure.den, h.num, h.den)]
-            holds = _identity_holds(*arrays, SPLIT_IDENTITY_RTOL)
+            try:
+                _require_identity(*arrays, ReconstructionMismatch, "closure", 0)
+                holds = True
+            except ReconstructionMismatch:
+                holds = False
             assert holds == identity_equal(closure, h, SPLIT_IDENTITY_RTOL) == want
 
 
@@ -492,3 +498,22 @@ def test_realize_rejects_sign_flipped_input():
     # constant comes out negative and the split refuses it
     with pytest.raises(SplitFailed):
         realize_1d(pr({(0,): -1.0}, {(1,): 1.0, (0,): 1.0}))
+
+
+def test_refusals_name_the_identity_numbers(monkeypatch):
+    f = ladder_cases(11, [6], 1)[0].function()
+    order = r"\(deg den %d\)$" % f.den.total_degree()
+    # at rtol 0 the rounding of the factored coupling is already too much
+    monkeypatch.setattr(realization, "SPLIT_IDENTITY_RTOL", 0.0)
+    with pytest.raises(SplitFailed, match=r"^factored coupling does not reproduce b\*c: "
+                       r"max\|diff\| \S+ > rtol\*scale 0\.0 " + order):
+        realize_1d(f)
+    monkeypatch.undo()
+    coupling = realization._coupling
+    monkeypatch.setattr(realization, "_coupling",
+                        lambda *args: (lambda b, c, k: (1.001 * b, c, k))(*coupling(*args)))
+    with pytest.raises(ReconstructionMismatch) as exc:
+        realize_1d(f)
+    worst, bound = re.match(r"loop closure does not reproduce the input: max\|diff\| (\S+) "
+                            r"> rtol\*scale (\S+) " + order, str(exc.value)).groups()
+    assert float(worst) > float(bound) > 0.0

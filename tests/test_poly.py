@@ -171,19 +171,25 @@ def test_evaluate_matches_naive():
 
 
 def term_loop_evaluate_many(p, Z):
-    """The per-call term loop that evaluate_many replaced, kept as its bitwise reference."""
+    """The per-call term loop that evaluate_many replaced, kept as its reference.
+
+    Returns the values and, per point and entry, ``sum_t |c_t| |mono_t|``:
+    the scale of the rounding that summing the terms in another order allows.
+    """
     Z = np.asarray(Z, dtype=np.complex128)
     n = Z.shape[0]
     out = np.zeros((n, p.m, p.m), dtype=np.complex128)
+    scale = np.zeros((n, p.m, p.m))
     for e, a in p.ordered_terms():
         mono = np.prod(Z ** np.array(e), axis=1) if p.d else np.ones(n, dtype=np.complex128)
         out += mono[:, None, None] * a[None, :, :]
-    return out
+        scale += np.abs(mono)[:, None, None] * np.abs(a)[None, :, :]
+    return out, scale
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_evaluate_many_is_bit_identical_to_term_loop(d, m):
+def test_evaluate_many_is_close_to_term_loop(d, m):
     rng = np.random.default_rng([d, m])
     polys = [MatrixPoly.zero(d, m)]
     for max_deg in (1, 2, 5):
@@ -195,10 +201,26 @@ def test_evaluate_many_is_bit_identical_to_term_loop(d, m):
             Z = rng.uniform(-3, 3, (n, d)) + 1j * 10.0 ** rng.uniform(-12, 0, (n, d))
             Z[rng.random((n, d)) < 0.2] = 0.0
             Z[rng.random((n, d)) < 0.2] = rng.uniform(-3, 3)   # on the real axis
-            for _ in range(2):   # the second call runs on the cached plan
-                got = p.evaluate_many(Z)
-                assert np.array_equal(got.view(np.uint64),
-                                      term_loop_evaluate_many(p, Z).view(np.uint64))
+            ref, scale = term_loop_evaluate_many(p, Z)
+            got = p.evaluate_many(Z)
+            # the second call runs on the cached plan and gives the same bytes
+            assert got.tobytes() == p.evaluate_many(Z).tobytes()
+            if p.is_zero() or d == 0:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_monomial_rows_do_not_depend_on_the_batch(d):
+    rng = np.random.default_rng([d, 7])
+    polys = [rand_poly(rng, d, 1, nterms=12, max_deg=max_deg) for max_deg in (1, 3, 6)]
+    for p in polys:
+        for n in (1, 2, 7, 60, 231):
+            Z = rng.uniform(-3, 3, (n, d)) + 1j * rng.uniform(0.05, 3, (n, d))
+            table = p.monomials(Z)
+            for i in range(n):
+                assert table[:, i].tobytes() == p.monomials(Z[i:i + 1])[:, 0].tobytes()
 
 
 # The term loops that the stack arithmetic replaced, kept as its bitwise
