@@ -551,6 +551,22 @@ class PencilProbe:
         }
 
 
+def _lemma11_polys(p, q, thetas):
+    """``p + q.scaled(1j)``, then ``p.scaled(cos t) + q.scaled(sin t)`` for
+    each t in thetas, bit for bit, from one stack aligned on p's keys, then
+    q's new ones.  A slot that a side lacks, or whose term scaled to zero
+    (``scaled`` drops it), holds -0.0: x + (-0.0) is x, signed zeros included."""
+    keys = list(dict.fromkeys([*p.terms, *q.terms]))
+    col = {e: j for j, e in enumerate(keys)}
+    pc, qc = p._coeffs[:, 0, 0], q._coeffs[:, 0, 0]
+    parts = np.zeros((2, len(thetas) + 1, len(keys)), dtype=np.complex128)
+    parts[0, :, :len(pc)] = np.vstack((pc, np.cos(thetas)[:, None] * pc))
+    parts[1][:, [col[e] for e in q.terms]] = np.vstack((qc * 1j, np.sin(thetas)[:, None] * qc))
+    parts[parts == 0] = complex(-0.0, -0.0)
+    return [MatrixPoly._from_stack(p.d, 1, keys, row.reshape(-1, 1, 1))
+            for row in parts[0] + parts[1]]
+
+
 @_quiet
 def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     """Probe the equivalence between combined-zero freeness, pencil
@@ -567,10 +583,11 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
 
     member_cfg_count = max(40, cfg.count // 4)
     scale = max(p.max_coeff_magnitude(), q.max_coeff_magnitude(), 1e-300)
-    jobs = [("combined-stable", p + q.scaled(1j), cfg, False)]
+    drawn = rng.uniform(0.0, np.pi, members)
+    combined, *rotations = _lemma11_polys(p, q, drawn)
+    jobs = [("combined-stable", combined, cfg, False)]
     thetas = []
-    for theta in rng.uniform(0.0, np.pi, members):
-        member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
+    for theta, member in zip(drawn, rotations):
         if member.max_coeff_magnitude() <= 1e-14 * scale:
             continue
         sub_cfg = replace(cfg, seed=int(rng.integers(2**31 - 1)), count=member_cfg_count)

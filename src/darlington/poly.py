@@ -304,23 +304,24 @@ class MatrixPoly:
         return (mono.T @ coeffs.reshape(len(coeffs), self.m ** 2)).reshape(-1, self.m, self.m)
 
     def monomials(self, Z):
-        """Every term's monomial ``prod(z ** e)`` at every point, as a (T, n)
-        array, terms in plan (graded-lex) order.  Z: (n, d) array.  Row r is
-        bit for bit the same whatever batch Z[r] shares."""
+        """Every term's monomial at every point, as a fresh (T, n) array, terms
+        in plan order.  Z: (n, d) array.  Each later variable's factors, taken
+        from a power table, are multiplied into the first's in place (not a
+        ``prod``: last bits differ).  Row r is bit for bit the same whatever
+        batch Z[r] shares."""
         Z = np.asarray(Z, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.d:
             raise DimensionMismatch("expected point array of shape (n, %d)" % self.d)
         exps = self._evaluation_plan()[1]
+        if not self.d:
+            return np.ones((len(exps), len(Z)), dtype=np.complex128)
         pw = np.ones((int(exps.max(initial=0)) + 1,) + Z.shape, dtype=np.complex128)
         for k in range(1, len(pw)):
             np.multiply(pw[k - 1], Z, out=pw[k])
-        # the factors sit on a contiguous last axis: a prod over a strided
-        # axis takes numpy's vectorized multiply, which rounds a point
-        # differently depending on how many points share the batch
-        factors = np.empty((len(exps), Z.shape[0], self.d), dtype=np.complex128)
-        for k in range(self.d):
-            factors[:, :, k] = pw[exps[:, k], :, k]
-        return factors.prod(axis=2)
+        out = pw[exps[:, 0], :, 0]
+        for k in range(1, self.d):
+            out *= pw[exps[:, k], :, k]
+        return out
 
     # ------------------------------------------------------------------
     # structure maps

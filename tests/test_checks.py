@@ -34,7 +34,7 @@ from darlington.checks import (
     upper_points,
     upper_to_disk,
 )
-from corpus import herglotz_cases, pair_cases, planted_pairs
+from corpus import herglotz_cases, pair_cases, planted_pairs, signed_zero_poly
 
 
 def sp(d, coeffs):
@@ -815,6 +815,38 @@ def test_lemma11_batch_matches_per_member_loop(cfg):
         assert got == per_member_loop(case.p, case.q, cfg, 10), case.name
         combined = check_stable(case.p + case.q.scaled(1j), cfg)
         assert probe.combined.verdict == combined.verdict, case.name
+
+
+def test_lemma11_stacks_are_bit_identical_to_polynomial_arithmetic():
+    # lemma11_probe builds p + i q and every member cos(t) p + sin(t) q from
+    # one aligned stack; MatrixPoly arithmetic stays the reference, down to
+    # the key order and the sign of zero
+    t0 = 1.234
+    c0, s0 = float(np.cos(t0)), float(np.sin(t0))
+    pairs = [
+        (sp(1, {(2,): -1.5, (0,): 2.0}), sp(1, {(1,): -3.0})),            # disjoint supports
+        (sp(2, {(1, 0): 1.0, (0, 1): -2.0, (0, 0): 0.5}),
+         sp(2, {(0, 1): 1.0, (1, 1): -1.0, (0, 0): -0.25})),              # overlapping
+        (sp(1, {(1,): s0, (0,): 1.0}), sp(1, {(1,): -c0, (2,): 2.0})),     # (1,) cancels at t0
+        (sp(1, {(1,): s0}), sp(1, {(1,): -c0})),                           # all of it cancels
+        (sp(2, {}), sp(2, {(0, 1): -1.0})),
+    ]
+    rng = np.random.default_rng(5)
+    pairs += [(signed_zero_poly(rng, d, 1, 4), signed_zero_poly(rng, d, 1, 4))
+              for d in (0, 1, 2, 3) for _ in range(3)]
+    pairs += [(case.p, case.q) for case in pair_cases()]
+    pairs += [(p, q) for p, q, _ in planted_pairs(1)]
+    thetas = np.concatenate(([t0, 0.0], rng.uniform(0.0, np.pi, 8)))
+    for p, q in pairs:
+        got = checks._lemma11_polys(p, q, thetas)
+        want = [p + q.scaled(1j)]
+        want += [p.scaled(float(np.cos(t))) + q.scaled(float(np.sin(t))) for t in thetas]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.d, a.m, list(a.terms)) == (b.d, b.m, list(b.terms))
+            assert a._coeffs.tobytes() == b._coeffs.tobytes()
+    assert list(checks._lemma11_polys(*pairs[2], [t0])[1].terms) == [(0,), (2,)]
+    assert checks._lemma11_polys(*pairs[3], [t0])[1].is_zero()
 
 
 def test_lemma11_reports_members_with_non_real_coefficients():

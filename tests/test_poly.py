@@ -223,6 +223,33 @@ def test_monomial_rows_do_not_depend_on_the_batch(d):
                 assert table[:, i].tobytes() == p.monomials(Z[i:i + 1])[:, 0].tobytes()
 
 
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_monomials_match_an_independent_power_product(d):
+    rng = np.random.default_rng([d, 11])
+    polys = [rand_poly(rng, d, 1, nterms=12, max_deg=max_deg) for max_deg in (1, 3, 6)]
+    polys.append(MatrixPoly.constant(d, 2.5 - 1j))
+    if d > 1:
+        # every exponent column past the first is all zero
+        polys.append(MatrixPoly.from_scalar_terms(d, {(k,) + (0,) * (d - 1): 1.0
+                                                      for k in range(5)}))
+    for p in polys:
+        E = np.array([e for e, _ in p.ordered_terms()], dtype=np.int64).reshape(len(p.terms), d)
+        for n in (0, 1, 231):
+            Z = rng.uniform(-3, 3, (n, d)) + 1j * rng.uniform(0.05, 3, (n, d))
+            ref = np.prod(Z[None] ** E[:, None], axis=2)
+            table = p.monomials(Z)
+            assert table.shape == (len(p.terms), n)
+            if d == 0 or p.total_degree() == 0:
+                assert np.array_equal(table, ref)
+            else:
+                assert np.all(np.abs(table - ref) <= 1e-14 * np.abs(ref))
+            # a fresh array of its own: writing to it leaves the next call alone
+            assert table.flags.owndata and table.flags.writeable
+            first = table.copy()
+            table[...] = np.nan
+            assert p.monomials(Z).tobytes() == first.tobytes()
+
+
 # The term loops that the stack arithmetic replaced, kept as its bitwise
 # reference.  Each returns the term dict that the old constructor received;
 # the constructor then dropped exact-zero terms.
