@@ -11,6 +11,7 @@ fail to find one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -40,6 +41,11 @@ class SingularCayley(ArithmeticError):
     """The matrix Cayley transform hit a (numerically) singular pivot."""
 
 
+def _is_int_at_least(x, lower):
+    """Whether x is an integer (a numpy one too, but not a bool) >= lower."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= lower
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """How test points are drawn.
@@ -48,8 +54,8 @@ class SampleConfig:
     imaginary parts log-uniform in [imag_floor, box_radius]; with
     include_edge_points three stress batches of 10 are appended (points at
     the imaginary floor, points on the box walls, points almost on the
-    real axis).  Needs count >= 1, box_radius > 0 with 2 * box_radius
-    finite, and 0 < imag_floor < box_radius.
+    real axis).  Needs integers seed >= 0 and count >= 1, box_radius > 0
+    with 2 * box_radius finite, and 0 < imag_floor < box_radius.
     """
 
     seed: int = DEFAULT_SEED
@@ -59,8 +65,10 @@ class SampleConfig:
     include_edge_points: bool = True
 
     def __post_init__(self):
-        if not self.count >= 1:
-            raise ValueError("SampleConfig needs count >= 1, got %r" % (self.count,))
+        for name, lower in (("seed", 0), ("count", 1)):
+            if not _is_int_at_least(getattr(self, name), lower):
+                raise ValueError("SampleConfig needs an integer %s >= %d, got %r"
+                                 % (name, lower, getattr(self, name)))
         r = self.box_radius
         if not (r > 0 and math.isfinite(2 * r)):
             raise ValueError("SampleConfig needs box_radius > 0 with 2 * box_radius finite, "
@@ -72,9 +80,16 @@ class SampleConfig:
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Slacks and the relative pole floor; each must be finite and >= 0."""
+
     psd_slack: float = 1e-8
     reality_slack: float = 1e-8
     den_floor: float = DEN_FLOOR_RTOL
+
+    def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValueError("Tolerances needs a finite %s >= 0, got %r" % (name, value))
 
     def to_dict(self):
         return {"psd_slack": self.psd_slack, "reality_slack": self.reality_slack,
@@ -366,14 +381,18 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     return Z, vals[:, 0], iterations
 
 
-def _hunt(jobs, tols):
-    """Reports named ``check`` for (check, p, cfg, real) jobs in one variable count.
+def _hunt(d, keys, table, jobs, tols):
+    """Reports for the polynomials in d variables whose coefficients at
+    ``keys`` are the rows of the (G, T) ``table``: row i's report is named
+    ``check`` for ``jobs[i] = (check, cfg, real)``.
 
-    A ``real`` job whose p has non-real coefficients gets _non_real_report; a
-    zero p fails; a constant p is inconclusive.  Every other p draws its own
-    upper points from cfg's seed and descends from the 20 where it is
-    smallest; the rows of all of them descend together in one
-    ``_descend_to_zero`` call.
+    A ``real`` row with non-real coefficients gets _non_real_report; a zero
+    row fails; a row in 0 variables is a constant, and inconclusive.  Every
+    other row draws its own upper points from cfg's seed and descends from
+    the 20 where it is smallest; all of them descend together in one
+    ``_descend_to_zero`` call, on a basis of every key.  A key that a row
+    lacks weighs 0 in it, so the report of a row does not depend on the
+    other rows of the table.
     """
     tolerances = tols.to_dict()
 
@@ -381,40 +400,37 @@ def _hunt(jobs, tols):
         return dict(tolerances=dict(tolerances), threshold_rtol=ROOT_ABS_RTOL, **extra)
 
     reports = [None] * len(jobs)
-    for i, (check, p, cfg, real) in enumerate(jobs):
-        if real and _imag_coeff_excess(p):
+    for i, ((check, cfg, real), row) in enumerate(zip(jobs, table)):
+        if real and _imag_coeff_excess(row):
+            p = MatrixPoly._from_stack(d, 1, keys, row.reshape(-1, 1, 1).copy())
             reports[i] = _non_real_report(check, p, cfg)
-        elif p.is_zero():
-            pt = np.full(p.d, 1j) if p.d else np.zeros(0)
-            witness = {"point": _json_point(pt), "abs_value": 0.0, "note": "zero polynomial"}
+        elif not row.any():
+            witness = {"point": _json_point(np.full(d, 1j)), "abs_value": 0.0,
+                       "note": "zero polynomial"}
             reports[i] = CheckReport(check, "fail", 1, -1.0, witness, cfg.seed, details())
-        elif p.d == 0:
-            reports[i] = CheckReport(check, "inconclusive", 1, float(abs(p.evaluate([])[0, 0])),
+        elif d == 0:
+            reports[i] = CheckReport(check, "inconclusive", 1, float(abs(row[0])),
                                      None, cfg.seed, details(note="constant polynomial"))
     hunted = [i for i, rep in enumerate(reports) if rep is None]
     if not hunted:
         return reports
 
-    names, polys, cfgs, _ = zip(*(jobs[i] for i in hunted))
-    d = polys[0].d
-    keys = list(dict.fromkeys(e for p in polys for e in p.terms))
     basis = MatrixPoly._from_stack(d, 1, keys, np.ones((len(keys), 1, 1), dtype=np.complex128))
-    # coeffs[g, j]: polys[g]'s coefficient at the j-th term of basis's plan
-    col = dict(zip((keys[i] for i in basis._grlex_order()), range(len(keys))))
-    coeffs = np.zeros((len(polys), len(keys)), dtype=np.complex128)
-    for g, p in enumerate(polys):
-        coeffs[g, [col[e] for e in p.terms]] = p._coeffs[:, 0, 0]
+    # coeffs[g, j]: the g-th hunted row's coefficient at the j-th term of basis's plan
+    coeffs = table[np.ix_(hunted, basis._grlex_order())]
+    cfgs = [jobs[i][1] for i in hunted]
     pts = [upper_points(cfg, np.random.default_rng(cfg.seed), d) for cfg in cfgs]
     sizes = [len(x) for x in pts]
     vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0)[:, None], np.vstack(pts))[:, 0])
     starts = [x[np.argsort(v)[:20]] for x, v in zip(pts, np.split(vals, np.cumsum(sizes)[:-1]))]
-    owner = np.repeat(np.arange(len(polys)), [len(x) for x in starts])
+    owner = np.repeat(np.arange(len(hunted)), [len(x) for x in starts])
     floor = np.array([cfg.imag_floor * 0.5 for cfg in cfgs])
-    scale = np.array([p.max_coeff_magnitude() for p in polys])
+    scale = np.abs(coeffs).max(axis=1)
     Z, best, iterations = _descend_to_zero(basis, coeffs, owner, np.vstack(starts), floor,
                                            RETIRE_RTOL * scale[owner])
 
-    for g, (i, check, cfg) in enumerate(zip(hunted, names, cfgs)):
+    for g, i in enumerate(hunted):
+        check, cfg, _ = jobs[i]
         rows = np.flatnonzero(owner == g)
         k = rows[int(np.argmin(np.abs(best[rows])))]
         best_val = abs(best[k])
@@ -439,15 +455,17 @@ def check_stable(p, config=None, tolerances=None):
     cannot certify absence of zeros, the alternative is "inconclusive",
     never "pass".
     """
-    return _hunt([("stable", _scalar_poly(p), config or SampleConfig(), False)],
-                 tolerances or Tolerances())[0]
+    p = _scalar_poly(p)
+    return _hunt(p.d, list(p.terms), p._coeffs[None, :, 0, 0],
+                 [("stable", config or SampleConfig(), False)], tolerances or Tolerances())[0]
 
 
-def _imag_coeff_excess(p):
-    """The largest imaginary part among p's coefficients, when it exceeds
-    COEFF_REAL_RTOL times the largest coefficient magnitude; 0.0 otherwise."""
-    worst = float(np.abs(p._coeffs.imag).max(initial=0.0))
-    return worst if worst > COEFF_REAL_RTOL * max(p.max_coeff_magnitude(), 1e-300) else 0.0
+def _imag_coeff_excess(coeffs):
+    """The largest imaginary part in the complex array ``coeffs`` (a
+    polynomial's stack or a row of the hunt's table), when it exceeds
+    COEFF_REAL_RTOL times the largest magnitude there; 0.0 otherwise."""
+    worst = float(np.abs(coeffs.imag).max(initial=0.0))
+    return worst if worst > COEFF_REAL_RTOL * max(np.abs(coeffs).max(initial=0.0), 1e-300) else 0.0
 
 
 def _non_real_report(check, p, cfg):
@@ -458,7 +476,7 @@ def _non_real_report(check, p, cfg):
     pts = real_points(cfg, np.random.default_rng(cfg.seed), p.d)
     kept = _kept(pts, p.evaluate_many(pts), np.ones(len(pts), dtype=bool),
                  lambda vals: (-np.abs(vals[:, 0, 0].imag),))
-    details = {"imag_coeff_max": _json_float(_imag_coeff_excess(p))}
+    details = {"imag_coeff_max": _json_float(_imag_coeff_excess(p._coeffs))}
     if isinstance(kept, str):
         return CheckReport(check, "inconclusive", 0, float("nan"), None, cfg.seed,
                            dict(details, note=kept))
@@ -476,8 +494,9 @@ def _non_real_report(check, p, cfg):
 @_quiet
 def check_real_stable(p, config=None, tolerances=None):
     """Real coefficients plus no zero in the open upper poly-half-plane."""
-    return _hunt([("real-stable", _scalar_poly(p), config or SampleConfig(), True)],
-                 tolerances or Tolerances())[0]
+    p = _scalar_poly(p)
+    return _hunt(p.d, list(p.terms), p._coeffs[None, :, 0, 0],
+                 [("real-stable", config or SampleConfig(), True)], tolerances or Tolerances())[0]
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +510,7 @@ def _scalar_pair(p, q, real):
     if p.d != q.d:
         raise ValueError("p and q must share the variable count")
     for r, name in ((p, "p"), (q, "q")):
-        if real and _imag_coeff_excess(r):
+        if real and _imag_coeff_excess(r._coeffs):
             raise ValueError("%s must have real coefficients" % name)
     return p, q
 
@@ -500,7 +519,9 @@ def _scalar_pair(p, q, real):
 def pencil_probe(p, q, config=None, tolerances=None):
     """Real-stability falsifier for p + z_new * q in one extra variable."""
     p, q = _scalar_pair(p, q, real=True)
-    return _hunt([("pencil-real-stable", _pencil(q, p), config or SampleConfig(), True)],
+    pencil = _pencil(q, p)
+    return _hunt(pencil.d, list(pencil.terms), pencil._coeffs[None, :, 0, 0],
+                 [("pencil-real-stable", config or SampleConfig(), True)],
                  tolerances or Tolerances())[0]
 
 
@@ -551,32 +572,18 @@ class PencilProbe:
         }
 
 
-def _lemma11_polys(p, q, thetas):
-    """``p + q.scaled(1j)``, then ``p.scaled(cos t) + q.scaled(sin t)`` for
-    each t in thetas, bit for bit, from one stack aligned on p's keys, then
-    q's new ones.  A slot that a side lacks, or whose term scaled to zero
-    (``scaled`` drops it), holds -0.0: x + (-0.0) is x, signed zeros included."""
-    keys = list(dict.fromkeys([*p.terms, *q.terms]))
-    col = {e: j for j, e in enumerate(keys)}
-    pc, qc = p._coeffs[:, 0, 0], q._coeffs[:, 0, 0]
-    parts = np.zeros((2, len(thetas) + 1, len(keys)), dtype=np.complex128)
-    parts[0, :, :len(pc)] = np.vstack((pc, np.cos(thetas)[:, None] * pc))
-    parts[1][:, [col[e] for e in q.terms]] = np.vstack((qc * 1j, np.sin(thetas)[:, None] * qc))
-    parts[parts == 0] = complex(-0.0, -0.0)
-    return [MatrixPoly._from_stack(p.d, 1, keys, row.reshape(-1, 1, 1))
-            for row in parts[0] + parts[1]]
-
-
 @_quiet
 def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     """Probe the equivalence between combined-zero freeness, pencil
     real-stability and member real-stability for a real pair (p, q).
 
     The combined polynomial and the members are hunted in one batched
-    descent, each with its own seed and point set.
+    descent, each with its own seed and point set, as rows of one table
+    aligned on p's keys, then q's new ones.  A member whose coefficients are
+    all at most 1e-14 times the pair's largest is skipped.
     """
-    if members < 0:
-        raise ValueError("members must be at least 0, got %r" % (members,))
+    if not _is_int_at_least(members, 0):
+        raise ValueError("members must be an integer >= 0, got %r" % (members,))
     p, q = _scalar_pair(p, q, real=True)
     cfg, tols, rng = _setup(config, tolerances)
     pencil = pencil_probe(p, q, cfg, tols)
@@ -584,17 +591,16 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     member_cfg_count = max(40, cfg.count // 4)
     scale = max(p.max_coeff_magnitude(), q.max_coeff_magnitude(), 1e-300)
     drawn = rng.uniform(0.0, np.pi, members)
-    combined, *rotations = _lemma11_polys(p, q, drawn)
-    jobs = [("combined-stable", combined, cfg, False)]
-    thetas = []
-    for theta, member in zip(drawn, rotations):
-        if member.max_coeff_magnitude() <= 1e-14 * scale:
-            continue
-        sub_cfg = replace(cfg, seed=int(rng.integers(2**31 - 1)), count=member_cfg_count)
-        jobs.append(("real-stable", member, sub_cfg, True))
-        thetas.append(theta)
+    keys, stack = MatrixPoly._aligned([p, q])
+    P, Q = stack[:, :, 0, 0]
+    table = np.vstack((P + Q * 1j, np.cos(drawn)[:, None] * P + np.sin(drawn)[:, None] * Q))
+    kept = np.flatnonzero(np.abs(table[1:]).max(axis=1, initial=0.0) > 1e-14 * scale)
+    thetas = drawn[kept]
+    jobs = [("combined-stable", cfg, False)]
+    jobs += [("real-stable", replace(cfg, seed=int(rng.integers(2**31 - 1)),
+                                     count=member_cfg_count), True) for _ in kept]
 
-    combined, *reports = _hunt(jobs, tols)
+    combined, *reports = _hunt(p.d, keys, table[np.r_[0, kept + 1]], jobs, tols)
     fails = [(theta, rep) for theta, rep in zip(thetas, reports) if rep.verdict == "fail"]
     member_witness = dict(fails[0][1].witness or {}, theta=float(fails[0][0])) if fails else None
     return PencilProbe(combined, pencil, len(fails), len(thetas), member_witness, cfg.seed)

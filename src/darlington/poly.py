@@ -138,6 +138,18 @@ class MatrixPoly:
         np.add.at(out.reshape(-1), slots, values[np.array(rest)].reshape(-1))
         return cls._from_stack(d, m, list(index), out)
 
+    @staticmethod
+    def _aligned(polys):
+        """The exponents of ``polys`` (one or more, of one m) in order of first
+        appearance, and a fresh (P, T, m, m) stack whose [k, j] is polys[k]'s
+        coefficient at keys[j], 0 where polys[k] has no such term."""
+        keys = list(dict.fromkeys(e for p in polys for e in p.terms))
+        col = {e: j for j, e in enumerate(keys)}
+        stack = np.zeros((len(polys), len(keys)) + polys[0]._coeffs.shape[1:], dtype=np.complex128)
+        for k, p in enumerate(polys):
+            stack[k, [col[e] for e in p.terms]] = p._coeffs
+        return keys, stack
+
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
 

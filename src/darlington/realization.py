@@ -83,15 +83,9 @@ class LFTRealization:
 
     def block(self):
         """The 2 x 2 matrix function [[a, b], [c, d]] over the shared a.den."""
-        entries = [g.num for g in (self.a, self.b, self.c, self.d)]
-        # the terms in order of first appearance over a, b, c, d
-        keys = list(dict.fromkeys(e for p in entries for e in p.terms))
-        row = {e: i for i, e in enumerate(keys)}
-        stack = np.zeros((len(keys), 4), dtype=np.complex128)
-        for k, p in enumerate(entries):
-            stack[[row[e] for e in p.terms], k] = p._coeffs[:, 0, 0]
-        return RationalMatrixFunction(MatrixPoly._from_stack(1, 2, keys, stack.reshape(-1, 2, 2)),
-                                      self.a.den)
+        keys, stack = MatrixPoly._aligned([g.num for g in (self.a, self.b, self.c, self.d)])
+        block = stack.swapaxes(0, 1).reshape(-1, 2, 2)
+        return RationalMatrixFunction(MatrixPoly._from_stack(1, 2, keys, block), self.a.den)
 
     def _closed(self):
         """Numerator and denominator coefficients of the loop closure."""
@@ -217,7 +211,7 @@ def realize_1d(f):
     if f.d != 1:
         raise DimensionMismatch("input has %d variables; expected 1" % f.d)
     source = f.normalize()
-    imag = max(_imag_coeff_excess(source.num), _imag_coeff_excess(source.den))
+    imag = max(_imag_coeff_excess(source.num._coeffs), _imag_coeff_excess(source.den._coeffs))
     if imag:
         raise DimensionMismatch("input has non-real coefficients (largest imaginary part %r "
                                 "after normalization); the realization needs real ones" % imag)

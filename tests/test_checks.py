@@ -259,9 +259,11 @@ def test_each_route_builds_its_report_under_its_name(route, check):
         out.seed = 0
 
 
-def test_lemma11_rejects_a_negative_member_count():
-    with pytest.raises(ValueError, match="members must be at least 0, got -1"):
-        lemma11_probe(sp(1, {(1,): 1.0}), one(1), FAST, members=-1)
+@pytest.mark.parametrize("members", [-1, 2.5, 3.0, True, "4"])
+def test_lemma11_rejects_a_negative_member_count(members):
+    message = "members must be an integer >= 0, got " + re.escape(repr(members))
+    with pytest.raises(ValueError, match=message):
+        lemma11_probe(sp(1, {(1,): 1.0}), one(1), FAST, members=members)
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +295,9 @@ def test_pencil_probe_reports_match_the_arithmetic_pencil():
     pairs += [(p, q) for p, q, _ in planted_pairs(1)]
     for p, q in pairs:
         pencil = p.append_variable() + MatrixPoly.variable(p.d + 1, p.d) * q.append_variable()
-        want = checks._hunt([("pencil-real-stable", pencil, FAST, True)], Tolerances())[0]
+        keys, stack = MatrixPoly._aligned([pencil])
+        want = checks._hunt(pencil.d, keys, stack[:, :, 0, 0],
+                            [("pencil-real-stable", FAST, True)], Tolerances())[0]
         assert json.dumps(pencil_probe(p, q, FAST).to_dict()) == json.dumps(want.to_dict())
 
 
@@ -746,13 +750,16 @@ def test_descent_iterations_do_not_depend_on_the_batch():
     counts = set()
     for p, q in pairs:
         # the combined polynomial and four members, as lemma11_probe batches them
-        jobs = [("combined-stable", p + q.scaled(1j), FAST, False)]
+        polys, jobs = [p + q.scaled(1j)], [("combined-stable", FAST, False)]
         for k, theta in enumerate(np.linspace(0.3, 2.8, 4)):
-            member = p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
-            jobs.append(("real-stable", member, replace(FAST, seed=k + 1, count=40), True))
-        batched = checks._hunt(jobs, Tolerances())
-        for job, rep in zip(jobs, batched):
-            assert checks._hunt([job], Tolerances())[0].to_dict() == rep.to_dict()
+            polys.append(p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta))))
+            jobs.append(("real-stable", replace(FAST, seed=k + 1, count=40), True))
+        keys, stack = MatrixPoly._aligned(polys)
+        batched = checks._hunt(p.d, keys, stack[:, :, 0, 0], jobs, Tolerances())
+        for poly, job, rep in zip(polys, jobs, batched):
+            alone = checks._hunt(p.d, list(poly.terms), poly._coeffs[None, :, 0, 0], [job],
+                                 Tolerances())[0]
+            assert alone.to_dict() == rep.to_dict()
             counts.add(rep.details["descent_iterations"])
     assert len(counts) > 5
 
@@ -817,10 +824,38 @@ def test_lemma11_batch_matches_per_member_loop(cfg):
         assert probe.combined.verdict == combined.verdict, case.name
 
 
-def test_lemma11_stacks_are_bit_identical_to_polynomial_arithmetic():
-    # lemma11_probe builds p + i q and every member cos(t) p + sin(t) q from
-    # one aligned stack; MatrixPoly arithmetic stays the reference, down to
-    # the key order and the sign of zero
+def hunted_table(monkeypatch, p, q, thetas):
+    """The keys and the table that lemma11_probe(p, q) hands the hunt when
+    its angles are ``thetas``.  The pair's realness check, the angle draw
+    and the hunts are stubbed out, so any pair can be given."""
+
+    class Angles:
+        def uniform(self, lo, hi, n):
+            assert n == len(thetas)
+            return np.asarray(thetas, dtype=float)
+
+        def integers(self, high):
+            return 1
+
+    seen, blank = [], checks.CheckReport("stub", "inconclusive", 0, 0.0, None, 0)
+
+    def hunt(d, keys, table, jobs, tols):
+        seen.append((keys, table))
+        return [blank] * len(jobs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_scalar_pair", lambda p, q, real: (p, q))
+        patch.setattr(checks, "_setup", lambda config, tolerances: (FAST, Tolerances(), Angles()))
+        patch.setattr(checks, "_hunt", hunt)
+        lemma11_probe(p, q, members=len(thetas))
+    return seen[-1]    # the first is pencil_probe's
+
+
+def test_lemma11_rows_equal_polynomial_arithmetic(monkeypatch):
+    # lemma11_probe hunts p + i q and every member cos(t) p + sin(t) q as
+    # rows of one table aligned on p's keys, then q's new ones; each row
+    # holds the coefficients MatrixPoly arithmetic gives, and 0 at the keys
+    # that polynomial lacks.  A member whose terms all cancel is skipped
     t0 = 1.234
     c0, s0 = float(np.cos(t0)), float(np.sin(t0))
     pairs = [
@@ -838,15 +873,19 @@ def test_lemma11_stacks_are_bit_identical_to_polynomial_arithmetic():
     pairs += [(p, q) for p, q, _ in planted_pairs(1)]
     thetas = np.concatenate(([t0, 0.0], rng.uniform(0.0, np.pi, 8)))
     for p, q in pairs:
-        got = checks._lemma11_polys(p, q, thetas)
+        keys, table = hunted_table(monkeypatch, p, q, thetas)
+        assert keys == list(dict.fromkeys([*p.terms, *q.terms]))
+        scale = max(p.max_coeff_magnitude(), q.max_coeff_magnitude(), 1e-300)
         want = [p + q.scaled(1j)]
-        want += [p.scaled(float(np.cos(t))) + q.scaled(float(np.sin(t))) for t in thetas]
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert (a.d, a.m, list(a.terms)) == (b.d, b.m, list(b.terms))
-            assert a._coeffs.tobytes() == b._coeffs.tobytes()
-    assert list(checks._lemma11_polys(*pairs[2], [t0])[1].terms) == [(0,), (2,)]
-    assert checks._lemma11_polys(*pairs[3], [t0])[1].is_zero()
+        want += [m for m in (p.scaled(float(np.cos(t))) + q.scaled(float(np.sin(t)))
+                             for t in thetas) if m.max_coeff_magnitude() > 1e-14 * scale]
+        assert table.shape == (len(want), len(keys))
+        for row, poly in zip(table, want):
+            coeffs = [poly.terms[e][0, 0] if e in poly.terms else 0.0 for e in keys]
+            np.testing.assert_array_equal(row, np.array(coeffs, dtype=np.complex128))
+    keys, table = hunted_table(monkeypatch, *pairs[2], [t0])
+    assert keys == [(1,), (0,), (2,)] and table[1, 0] == 0 and table[1, 1:].all()
+    assert len(hunted_table(monkeypatch, *pairs[3], [t0])[1]) == 1
 
 
 def test_lemma11_reports_members_with_non_real_coefficients():
@@ -971,10 +1010,17 @@ def test_sample_config_shapes():
     assert upper_points(lean, rng, 1).shape == (40, 1)
 
 
-@pytest.mark.parametrize("count", [0, -3])
-def test_sample_config_needs_a_positive_count(count):
-    with pytest.raises(ValueError, match="count >= 1, got %d" % count):
-        SampleConfig(count=count)
+@pytest.mark.parametrize("field, value", [
+    ("count", 0), ("count", -3), ("count", 2.5), ("count", 4.0), ("count", True),
+    ("seed", -1), ("seed", 1.5), ("seed", False),
+], ids=["0", "-3", "2.5", "4.0", "True", "seed=-1", "seed=1.5", "seed=False"])
+def test_sample_config_needs_a_positive_count(field, value):
+    # a count or seed that is not an integer (a bool included) would only
+    # fail inside numpy, at first use
+    message = "%s >= %d, got %r" % (field, field == "count", value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SampleConfig(**{field: value})
+    SampleConfig(**{field: np.int64(3)})    # numpy's integers are integers
 
 
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan"), 1e308])
@@ -997,6 +1043,17 @@ def test_right_points_are_upper_points_turned():
         right = right_points(cfg, np.random.default_rng(cfg.seed), 2)
         upper = upper_points(cfg, np.random.default_rng(cfg.seed), 2)
         np.testing.assert_array_equal(right, -1j * upper)
+
+
+@pytest.mark.parametrize("field", ["psd_slack", "reality_slack", "den_floor"])
+@pytest.mark.parametrize("value", [-1e-9, float("inf"), float("nan"), "1e-8"])
+def test_tolerances_must_be_finite_and_nonnegative(field, value):
+    # an infinite reality_slack would let check_cayley_inner pass -1/(z + i),
+    # and a NaN psd_slack would make every margin non-finite
+    message = "finite %s >= 0, got %r" % (field, value)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Tolerances(**{field: value})
+    assert getattr(Tolerances(**{field: 0.0}), field) == 0.0
 
 
 def test_tolerances_loosen_verdicts():

@@ -324,6 +324,27 @@ def test_stack_arithmetic_is_bit_identical_to_term_loops(d, m):
                 assert_same_terms(a.substitute_last(c), term_loop_substitute_last(a, c))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_aligned_stacks_coefficients_on_the_union_of_keys(m):
+    eye = np.eye(m)
+    p = MatrixPoly(2, m, {(1, 0): eye, (0, 0): 2 * eye})
+    q = MatrixPoly(2, m, {(0, 1): 3 * eye, (0, 0): 4 * eye})
+    keys, stack = MatrixPoly._aligned([p, MatrixPoly.zero(2, m), q])
+    assert keys == [(1, 0), (0, 0), (0, 1)]    # in order of first appearance
+    np.testing.assert_array_equal(stack[:, :, 0, 0], [[1, 2, 0], [0, 0, 0], [0, 4, 3]])
+
+    rng = np.random.default_rng([m, 23])
+    polys = [signed_zero_poly(rng, 2, m, 4), MatrixPoly.zero(2, m), rand_poly(rng, 2, m, 5)]
+    keys, stack = MatrixPoly._aligned(polys)
+    assert stack.shape == (3, len(keys), m, m) and stack.flags.writeable
+    assert set(keys) == {e for poly in polys for e in poly.terms} and len(set(keys)) == len(keys)
+    zero = np.zeros((m, m), dtype=np.complex128).tobytes()
+    for poly, row in zip(polys, stack):
+        for e, coeff in zip(keys, row):
+            assert coeff.tobytes() == (poly.terms[e].tobytes() if e in poly.terms else zero)
+    assert MatrixPoly._aligned([MatrixPoly.zero(3, m)])[1].shape == (1, 0, m, m)
+
+
 def test_evaluate_wraps_evaluate_many():
     rng = np.random.default_rng(12)
     p = rand_poly(rng, 2, 2)

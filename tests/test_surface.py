@@ -32,3 +32,10 @@ def test_no_module_declares_its_own_surface():
             targets = node.targets if isinstance(node, ast.Assign) else (
                 [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
             assert not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets), path
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["pass", "lft 1.0"]
