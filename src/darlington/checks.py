@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .fileio import json_pairs
 from .lift import _pencil
 from .poly import MatrixPoly
 from .rational import DEFAULT_SEED, DEN_FLOOR_RTOL, RationalMatrixFunction
@@ -46,6 +47,11 @@ def _is_int_at_least(x, lower):
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= lower
 
 
+def _is_real(x):
+    """Whether x is a real number (a numpy one too, but not a bool)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """How test points are drawn.
@@ -54,8 +60,9 @@ class SampleConfig:
     imaginary parts log-uniform in [imag_floor, box_radius]; with
     include_edge_points three stress batches of 10 are appended (points at
     the imaginary floor, points on the box walls, points almost on the
-    real axis).  Needs integers seed >= 0 and count >= 1, box_radius > 0
-    with 2 * box_radius finite, and 0 < imag_floor < box_radius.
+    real axis).  Needs integers seed >= 0 and count >= 1, real numbers
+    box_radius > 0 with 2 * box_radius finite and 0 < imag_floor <
+    box_radius, and a bool (a numpy one too) include_edge_points.
     """
 
     seed: int = DEFAULT_SEED
@@ -70,12 +77,15 @@ class SampleConfig:
                 raise ValueError("SampleConfig needs an integer %s >= %d, got %r"
                                  % (name, lower, getattr(self, name)))
         r = self.box_radius
-        if not (r > 0 and math.isfinite(2 * r)):
+        if not (_is_real(r) and r > 0 and math.isfinite(2 * r)):
             raise ValueError("SampleConfig needs box_radius > 0 with 2 * box_radius finite, "
                              "got %r" % (r,))
-        if not 0 < self.imag_floor < r:
+        if not (_is_real(self.imag_floor) and 0 < self.imag_floor < r):
             raise ValueError("SampleConfig needs 0 < imag_floor < box_radius (%r), got %r"
                              % (r, self.imag_floor))
+        if not isinstance(self.include_edge_points, (bool, np.bool_)):
+            raise ValueError("SampleConfig needs a bool include_edge_points, got %r"
+                             % (self.include_edge_points,))
 
 
 @dataclass(frozen=True)
@@ -88,7 +98,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name, value in self.to_dict().items():
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
                 raise ValueError("Tolerances needs a finite %s >= 0, got %r" % (name, value))
 
     def to_dict(self):
@@ -105,10 +115,6 @@ def _setup(config, tolerances):
 def _json_float(x):
     x = float(x)
     return x if math.isfinite(x) else None
-
-
-def _json_point(z):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(z).reshape(-1)]
 
 
 @dataclass(frozen=True)
@@ -200,28 +206,33 @@ def _kept(pts, vals, ok, margin):
     return (pts[ok][fin],) + tuple(c[fin] for c in cols)
 
 
+def _sampled_report(name, kept, seed, details, witness, clean="pass"):
+    """The report named ``name`` on ``_kept``'s result: inconclusive with
+    its note, else "fail" when the worst margin is negative and ``clean``
+    otherwise.  A "fail" carries the row of the worst margin as its witness:
+    the point, and ``witness(margin, *cols)`` of the other columns."""
+    if isinstance(kept, str):
+        return CheckReport(name, "inconclusive", 0, float("nan"), None, seed,
+                           dict(details, note=kept))
+    pts, margins, *cols = kept
+    worst = float(margins.min())
+    verdict = "fail" if worst < 0 else clean
+    found = None
+    if verdict == "fail":
+        k = int(np.argmin(margins))
+        found = dict(witness(margins[k], *(c[k] for c in cols)), point=json_pairs(pts[k]))
+    return CheckReport(name, verdict, len(margins), worst, found, seed, details)
+
+
 def _psd_report(name, part, f, pts, cfg, tols):
     def margin(vals):
         re_h, im_h = _herm_parts(vals)
         return (linalg.hermitian_min_eig_many(im_h if part == "imag" else re_h) + tols.psd_slack,)
 
     kept = _kept(pts, *f.eval_many(pts, tols.den_floor), margin)
-    details = {"points_drawn": int(len(pts)), "tolerances": tols.to_dict()}
-    if isinstance(kept, str):
-        return CheckReport(name, "inconclusive", 0, float("nan"), None, cfg.seed,
-                           dict(details, note=kept))
-    kept, margins = kept
-    worst = float(margins.min())
-    witness = None
-    if worst < 0.0:
-        k = int(np.argmin(margins))
-        witness = {
-            "point": _json_point(kept[k]),
-            "min_eig": _json_float(margins[k] - tols.psd_slack),
-            "part": part,
-        }
-    return CheckReport(name, "fail" if worst < 0 else "pass", len(margins), worst, witness,
-                       cfg.seed, details)
+    return _sampled_report(name, kept, cfg.seed,
+                           {"points_drawn": int(len(pts)), "tolerances": tols.to_dict()},
+                           lambda m: {"min_eig": _json_float(m - tols.psd_slack), "part": part})
 
 
 @_quiet
@@ -261,30 +272,18 @@ def check_cayley_inner(f, config=None, tolerances=None):
         "boundary_points_drawn": int(len(pts)),
         "tolerances": tols.to_dict(),
     }
-    inside = interior.worst_margin if interior.verdict != "inconclusive" else np.inf
-    if not isinstance(kept, str):
-        real_pts, real_margins, im_norms = kept
-        boundary, used = float(real_margins.min()), len(real_margins)
-    elif inside < np.inf:
-        boundary, used = np.inf, 0
-    else:
-        note = kept if kept == OVERFLOW_NOTE else interior.details["note"]
-        return CheckReport("cayley-inner", "inconclusive", 0, float("nan"), None,
-                           cfg.seed, dict(details, note=note))
-    worst = float(min(inside, boundary))
-    witness = None
-    if worst < 0.0:
-        if boundary <= inside:
-            k = int(np.argmin(real_margins))
-            witness = {
-                "point": _json_point(real_pts[k]),
-                "imag_part_norm": _json_float(im_norms[k]),
-                "part": "boundary-reality",
-            }
-        else:
-            witness = dict(interior.witness or {}, part="interior-psd")
-    return CheckReport("cayley-inner", "fail" if worst < 0 else "pass",
-                       interior.samples_used + used, worst, witness, cfg.seed, details)
+    boundary = _sampled_report("cayley-inner", kept, cfg.seed, details, lambda m, im: {
+        "imag_part_norm": _json_float(im), "part": "boundary-reality"})
+    # the half with the smaller margin decides, the boundary on a tie; an
+    # inconclusive half has none
+    inside, edge = (np.inf if rep.verdict == "inconclusive" else rep.worst_margin
+                    for rep in (interior, boundary))
+    worse = boundary if edge <= inside else replace(
+        interior, witness=interior.witness and dict(interior.witness, part="interior-psd"))
+    if worse.verdict == "inconclusive":  # both halves are; an overflow note wins
+        details = dict(details, note=interior.details["note"] if kept == POLE_NOTE else kept)
+    return replace(worse, check="cayley-inner", details=details,
+                   samples_used=interior.samples_used + boundary.samples_used)
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +404,7 @@ def _hunt(d, keys, table, jobs, tols):
             p = MatrixPoly._from_stack(d, 1, keys, row.reshape(-1, 1, 1).copy())
             reports[i] = _non_real_report(check, p, cfg)
         elif not row.any():
-            witness = {"point": _json_point(np.full(d, 1j)), "abs_value": 0.0,
+            witness = {"point": json_pairs(np.full(d, 1j)), "abs_value": 0.0,
                        "note": "zero polynomial"}
             reports[i] = CheckReport(check, "fail", 1, -1.0, witness, cfg.seed, details())
         elif d == 0:
@@ -438,13 +437,20 @@ def _hunt(d, keys, table, jobs, tols):
         info = details(refined_abs_value=_json_float(best_val),
                        descent_iterations=int(iterations[g]))
         if margin < 0.0:
-            witness = {"point": _json_point(Z[k]), "abs_value": _json_float(best_val)}
+            witness = {"point": json_pairs(Z[k]), "abs_value": _json_float(best_val)}
             reports[i] = CheckReport(check, "fail", sizes[g], margin, witness, cfg.seed, info)
         else:
             reports[i] = CheckReport(
                 check, "inconclusive", sizes[g], margin, None, cfg.seed,
                 dict(info, note="no zero found; sampling cannot prove stability"))
     return reports
+
+
+def _hunt_one(check, p, config, tolerances, real):
+    """_hunt's report named ``check`` for the one scalar polynomial p."""
+    p = _scalar_poly(p)
+    return _hunt(p.d, list(p.terms), p._coeffs[None, :, 0, 0],
+                 [(check, config or SampleConfig(), real)], tolerances or Tolerances())[0]
 
 
 @_quiet
@@ -455,9 +461,7 @@ def check_stable(p, config=None, tolerances=None):
     cannot certify absence of zeros, the alternative is "inconclusive",
     never "pass".
     """
-    p = _scalar_poly(p)
-    return _hunt(p.d, list(p.terms), p._coeffs[None, :, 0, 0],
-                 [("stable", config or SampleConfig(), False)], tolerances or Tolerances())[0]
+    return _hunt_one("stable", p, config, tolerances, False)
 
 
 def _imag_coeff_excess(coeffs):
@@ -476,27 +480,17 @@ def _non_real_report(check, p, cfg):
     pts = real_points(cfg, np.random.default_rng(cfg.seed), p.d)
     kept = _kept(pts, p.evaluate_many(pts), np.ones(len(pts), dtype=bool),
                  lambda vals: (-np.abs(vals[:, 0, 0].imag),))
-    details = {"imag_coeff_max": _json_float(_imag_coeff_excess(p._coeffs))}
-    if isinstance(kept, str):
-        return CheckReport(check, "inconclusive", 0, float("nan"), None, cfg.seed,
-                           dict(details, note=kept))
-    kept, margins = kept
-    k = int(np.argmin(margins))
-    witness = {
-        "point": _json_point(kept[k]),
-        "imag_value": _json_float(-margins[k]),
-        "part": "non-real-coefficients",
-    }
-    return CheckReport(check, "fail", len(margins), float(margins[k]), witness,
-                       cfg.seed, details)
+    return _sampled_report(check, kept, cfg.seed,
+                           {"imag_coeff_max": _json_float(_imag_coeff_excess(p._coeffs))},
+                           lambda m: {"imag_value": _json_float(-m),
+                                      "part": "non-real-coefficients"},
+                           clean="fail")
 
 
 @_quiet
 def check_real_stable(p, config=None, tolerances=None):
     """Real coefficients plus no zero in the open upper poly-half-plane."""
-    p = _scalar_poly(p)
-    return _hunt(p.d, list(p.terms), p._coeffs[None, :, 0, 0],
-                 [("real-stable", config or SampleConfig(), True)], tolerances or Tolerances())[0]
+    return _hunt_one("real-stable", p, config, tolerances, True)
 
 
 # ----------------------------------------------------------------------
@@ -519,10 +513,7 @@ def _scalar_pair(p, q, real):
 def pencil_probe(p, q, config=None, tolerances=None):
     """Real-stability falsifier for p + z_new * q in one extra variable."""
     p, q = _scalar_pair(p, q, real=True)
-    pencil = _pencil(q, p)
-    return _hunt(pencil.d, list(pencil.terms), pencil._coeffs[None, :, 0, 0],
-                 [("pencil-real-stable", config or SampleConfig(), True)],
-                 tolerances or Tolerances())[0]
+    return _hunt_one("pencil-real-stable", _pencil(q, p), config, tolerances, True)
 
 
 @dataclass(frozen=True)
@@ -632,8 +623,8 @@ def lemma12_probe(p, q, config=None, tolerances=None):
     witness = None
     if margin < 0.0:
         witness = {
-            "point_min": _json_point(kept[int(np.argmin(im))]),
-            "point_max": _json_point(kept[int(np.argmax(im))]),
+            "point_min": json_pairs(kept[int(np.argmin(im))]),
+            "point_max": json_pairs(kept[int(np.argmax(im))]),
             "imag_min": _json_float(lo),
             "imag_max": _json_float(hi),
         }

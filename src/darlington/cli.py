@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +40,9 @@ from .fileio import (
     FileFormatError,
     dumps_deterministic,
     function_to_dict,
+    json_pairs,
     load_function,
+    write_text,
 )
 from .lift import lift, restrict_at_i
 from .poly import DimensionMismatch
@@ -76,15 +78,6 @@ def _resolve_seed(arg_seed):
     return int(seed)
 
 
-def _emit(args, payload):
-    text = dumps_deterministic(payload)
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _say(msg):
     print(msg, file=sys.stderr)
 
@@ -94,12 +87,8 @@ def _margin(rep):
 
 
 def _evidence(rep):
-    return {
-        "verdict": rep.verdict,
-        "worst_margin": _margin(rep),
-        "samples_used": rep.samples_used,
-        "witness": rep.witness,
-    }
+    report = rep.to_dict()
+    return {k: report[k] for k in ("verdict", "worst_margin", "samples_used", "witness")}
 
 
 # ----------------------------------------------------------------------
@@ -208,14 +197,14 @@ def _eval(args, f, inputs):
     value = f.eval(np.array(point), args.den_floor)
     if not np.all(np.isfinite(value)):
         raise FileFormatError("the value at %s is not finite" % args.at)
-    inputs["point"] = [[float(c.real), float(c.imag)] for c in point]
+    inputs["point"] = json_pairs(point)
     payload = {
         "command": "eval",
         "inputs": inputs,
         "seed": 0,
         "tolerances": {"den_floor": args.den_floor},
         "verdicts": {"eval": "ok"},
-        "witnesses": {"value": [[[float(v.real), float(v.imag)] for v in row] for row in value]},
+        "witnesses": {"value": json_pairs(value)},
     }
     return payload, "eval: ok"
 
@@ -263,7 +252,7 @@ def _exit_code(verdicts, fail_code):
     return EXIT_OK
 
 
-def _dispatch(args):
+def _dispatch(args, cfg, tols):
     _, fail_code, needs, body = COMMANDS[args.command]
     f, frame = load_function(args.function)
     if needs is not None and frame != needs[0]:
@@ -274,25 +263,20 @@ def _dispatch(args):
         payload, summary = body(args, f, inputs)
         code = EXIT_OK
     else:
-        seed = _resolve_seed(args.seed)
-        edge = not args.no_edge_points
-        cfg = SampleConfig(seed=seed, count=args.samples, box_radius=args.box_radius,
-                           imag_floor=args.imag_floor, include_edge_points=edge)
-        tols = Tolerances(psd_slack=args.psd_slack, reality_slack=args.reality_slack,
-                          den_floor=args.den_floor)
-        inputs.update(samples=args.samples, box_radius=args.box_radius,
-                      imag_floor=args.imag_floor, edge_points=edge)
+        cfg = replace(cfg, seed=_resolve_seed(args.seed))
+        inputs.update(samples=cfg.count, box_radius=cfg.box_radius,
+                      imag_floor=cfg.imag_floor, edge_points=cfg.include_edge_points)
         verdicts, witnesses, summary = body(args, f, inputs, cfg, tols)
         payload = {
             "command": args.command,
             "inputs": inputs,
-            "seed": seed,
+            "seed": cfg.seed,
             "tolerances": tols.to_dict(),
             "verdicts": verdicts,
             "witnesses": witnesses,
         }
         code = _exit_code(verdicts, fail_code)
-    _emit(args, payload)
+    write_text(args.output or "-", dumps_deterministic(payload))
     _say(summary)
     return code
 
@@ -301,48 +285,24 @@ def _dispatch(args):
 # parser
 
 
-def _int_at_least(lower):
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-        if value < lower:
-            raise argparse.ArgumentTypeError("expected an integer >= %d, got %d" % (lower, value))
-        return value
-    return parse
-
-
-def _finite_float(positive):
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("expected a number, got %r" % text)
-        if not math.isfinite(value) or value < 0 or (positive and value == 0):
-            raise argparse.ArgumentTypeError(
-                "expected a finite number %s 0, got %r" % (">" if positive else ">=", text))
-        return value
-    return parse
-
-
 def _add_common(sub, sampling):
+    """The arguments of every command; with ``sampling``, also the fields of
+    SampleConfig (``--samples`` is count) and Tolerances, whose rules main
+    applies."""
     sub.add_argument("function", help="function JSON path, or - for stdin")
     sub.add_argument("-o", "--output", default=None,
                      help="write the JSON result here instead of stdout")
-    positive, nonnegative = _finite_float(True), _finite_float(False)
     if sampling:
-        sub.add_argument("--seed", type=_int_at_least(0), default=None,
+        sub.add_argument("--seed", type=int, default=None,
                          help="RNG seed (0 = OS entropy; default: $DARLINGTON_SEED or %d)"
                               % DEFAULT_SEED)
-        sub.add_argument("--samples", type=_int_at_least(1), default=SampleConfig.count)
-        sub.add_argument("--box-radius", type=positive, default=SampleConfig.box_radius)
-        sub.add_argument("--imag-floor", type=positive, default=SampleConfig.imag_floor,
+        sub.add_argument("--samples", type=int, default=SampleConfig.count)
+        sub.add_argument("--box-radius", type=float, default=SampleConfig.box_radius)
+        sub.add_argument("--imag-floor", type=float, default=SampleConfig.imag_floor,
                          help="smallest sampled imaginary part; must be below --box-radius")
         sub.add_argument("--no-edge-points", action="store_true")
-        sub.add_argument("--psd-slack", type=nonnegative, default=Tolerances.psd_slack)
-        sub.add_argument("--reality-slack", type=nonnegative, default=Tolerances.reality_slack)
-    sub.add_argument("--den-floor", type=nonnegative, default=Tolerances.den_floor)
+        sub.add_argument("--psd-slack", type=float, default=Tolerances.psd_slack)
+        sub.add_argument("--reality-slack", type=float, default=Tolerances.reality_slack)
 
 
 def build_parser():
@@ -354,7 +314,10 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, fail_code, _, _) in COMMANDS.items():
-        _add_common(subs.add_parser(name, help=help_text), sampling=fail_code is not None)
+        sub = subs.add_parser(name, help=help_text)
+        _add_common(sub, sampling=fail_code is not None)
+        if name != "lift":  # the only command that evaluates nothing
+            sub.add_argument("--den-floor", type=float, default=Tolerances.den_floor)
     subs.choices["check"].add_argument("--class", dest="membership", required=True,
                                        choices=sorted(_MEMBERSHIP),
                                        help="which membership to test")
@@ -368,16 +331,22 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "box_radius"):
-        try:
-            SampleConfig(box_radius=args.box_radius, imag_floor=args.imag_floor)
-        except ValueError as exc:
-            parser.error(str(exc))
+    # refused before any file is read; the seed stands in for the one
+    # _dispatch resolves
+    try:
+        cfg = None if not hasattr(args, "samples") else SampleConfig(
+            seed=DEFAULT_SEED if args.seed is None else args.seed, count=args.samples,
+            box_radius=args.box_radius, imag_floor=args.imag_floor,
+            include_edge_points=not args.no_edge_points)
+        tols = Tolerances(**{k: v for k, v in vars(args).items()
+                             if k in Tolerances.__dataclass_fields__})
+    except ValueError as exc:
+        parser.exit(EXIT_FORMAT, "%s %s: error: %s\n" % (parser.prog, args.command, exc))
     try:
         # an overflow ends in a dropped sample or in an error naming it, so
         # numpy's warnings about it would only clutter stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            return _dispatch(args)
+            return _dispatch(args, cfg, tols)
     except tuple(error for error, _, _ in _ERRORS) as exc:
         prefix, code = next((p, c) for error, p, c in _ERRORS if isinstance(exc, error))
         _say("%s: %s" % (prefix, exc))

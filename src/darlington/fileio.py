@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .poly import MatrixPoly
 from .rational import RationalMatrixFunction
 
@@ -24,13 +26,16 @@ class FileFormatError(ValueError):
     """The JSON document does not describe a valid function."""
 
 
-def _matrix_to_lists(arr):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+def json_pairs(values):
+    """A complex array as nested lists of [re, im] float pairs, the JSON form
+    of coefficients, points and values."""
+    values = np.asarray(values)
+    return np.stack((values.real, values.imag), axis=-1).tolist()
 
 
 def _poly_to_terms(p):
     return [
-        {"exponents": list(e), "matrix": _matrix_to_lists(a)}
+        {"exponents": list(e), "matrix": json_pairs(a)}
         for e, a in p.ordered_terms()
     ]
 
@@ -112,13 +117,17 @@ def dumps_deterministic(payload):
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def save_function(path, f, frame):
-    text = dumps_deterministic(function_to_dict(f, frame))
+def write_text(path, text):
+    """Write text to a path ('-' writes stdout)."""
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def save_function(path, f, frame):
+    write_text(path, dumps_deterministic(function_to_dict(f, frame)))
 
 
 def load_function(path):

@@ -130,22 +130,22 @@ def identity_equal(f, h, rtol=IDENTITY_RTOL):
 # frame rotations between the two half-plane conventions
 
 
+def _rotate(f, u):
+    """g(z) = -u * f(u z), for a unit u."""
+    return RationalMatrixFunction(f.num.scale_variables([u] * f.d).scaled(-u),
+                                  f.den.scale_variables([u] * f.d))
+
+
 def rotate_to_nevanlinna(f):
     """Move a right-half-plane (positive-real frame) function to the upper
     half-plane frame: g(z) = i * f(-i z).  Inverse of rotate_to_positive_real."""
-    d = f.d
-    num = f.num.scale_variables([-1j] * d).scaled(1j)
-    den = f.den.scale_variables([-1j] * d)
-    return RationalMatrixFunction(num, den)
+    return _rotate(f, -1j)
 
 
 def rotate_to_positive_real(f):
     """Move an upper-half-plane (Herglotz frame) function to the right
     half-plane frame: g(s) = -i * f(i s).  Inverse of rotate_to_nevanlinna."""
-    d = f.d
-    num = f.num.scale_variables([1j] * d).scaled(-1j)
-    den = f.den.scale_variables([1j] * d)
-    return RationalMatrixFunction(num, den)
+    return _rotate(f, 1j)
 
 
 # ----------------------------------------------------------------------

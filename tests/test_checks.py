@@ -1023,6 +1023,28 @@ def test_sample_config_needs_a_positive_count(field, value):
     SampleConfig(**{field: np.int64(3)})    # numpy's integers are integers
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"box_radius": True, "imag_floor": 0.5},
+     "box_radius > 0 with 2 * box_radius finite, got True"),
+    ({"box_radius": "10"}, "box_radius > 0 with 2 * box_radius finite, got '10'"),
+    ({"imag_floor": True}, "0 < imag_floor < box_radius (10.0), got True"),
+    ({"imag_floor": "0.5"}, "0 < imag_floor < box_radius (10.0), got '0.5'"),
+    ({"include_edge_points": "no"}, "a bool include_edge_points, got 'no'"),
+    ({"include_edge_points": 1}, "a bool include_edge_points, got 1"),
+    ({"include_edge_points": None}, "a bool include_edge_points, got None"),
+], ids=["radius=True", "radius='10'", "floor=True", "floor='0.5'", "edge='no'", "edge=1",
+        "edge=None"])
+def test_sample_config_needs_numbers_and_a_bool(fields, message):
+    # a bool radius would sample a box of radius 1, and a string for the
+    # edge points would still append them
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SampleConfig(**fields)
+    # numpy's reals and bools are accepted
+    lean = SampleConfig(count=5, box_radius=np.float64(2.0), imag_floor=np.float32(0.5),
+                        include_edge_points=np.bool_(False))
+    assert upper_points(lean, np.random.default_rng(lean.seed), 1).shape == (5, 1)
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, float("inf"), float("nan"), 1e308])
 def test_sample_config_needs_a_finite_positive_box(radius):
     with pytest.raises(ValueError, match="box_radius > 0 .*got " + re.escape(repr(radius))):
@@ -1046,7 +1068,7 @@ def test_right_points_are_upper_points_turned():
 
 
 @pytest.mark.parametrize("field", ["psd_slack", "reality_slack", "den_floor"])
-@pytest.mark.parametrize("value", [-1e-9, float("inf"), float("nan"), "1e-8"])
+@pytest.mark.parametrize("value", [-1e-9, float("inf"), float("nan"), "1e-8", True])
 def test_tolerances_must_be_finite_and_nonnegative(field, value):
     # an infinite reality_slack would let check_cayley_inner pass -1/(z + i),
     # and a NaN psd_slack would make every margin non-finite

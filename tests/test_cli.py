@@ -70,6 +70,14 @@ def test_lift_rejects_wrong_frame(pr_simple, capsys):
     assert code == 3 and doc is None
 
 
+def test_lift_takes_no_den_floor(neg_inv, capsys):
+    # lift evaluates nothing, so it has no pole floor to set
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", neg_inv, "--den-floor", "1e-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_lift_writes_output_file(neg_inv, tmp_path, capsys):
     out = tmp_path / "lifted.json"
     code, doc = run(capsys, ["lift", neg_inv, "-o", str(out)])
@@ -154,25 +162,54 @@ def test_check_seed_flag_and_env(neg_inv, capsys, monkeypatch):
         assert code == 2 and doc is None
 
 
-@pytest.mark.parametrize("bad", [
-    ["--seed", "-1"],
-    ["--samples", "0"],
-    ["--samples", "-1"],
-    ["--box-radius", "0"],
-    ["--box-radius", "inf"],
-    ["--box-radius", "1e308"],
-    ["--imag-floor", "0"],
-    ["--imag-floor", "-1"],
-    ["--imag-floor", "10", "--box-radius", "10"],
-    ["--psd-slack", "nan"],
-    ["--reality-slack", "-1"],
-    ["--den-floor", "inf"],
-])
-def test_bad_sampling_argument_exits_2(neg_inv, capsys, bad):
+BAD_SAMPLING_ARGUMENTS = [
+    # (arguments, what stderr must name)
+    (["--seed", "-1"], "got -1"),
+    (["--samples", "0"], "got 0"),
+    (["--samples", "-1"], "got -1"),
+    (["--box-radius", "0"], "got 0.0"),
+    (["--box-radius", "inf"], "got inf"),
+    (["--box-radius", "1e308"], "got 1e+308"),
+    (["--imag-floor", "0"], "got 0.0"),
+    (["--imag-floor", "-1"], "got -1.0"),
+    (["--imag-floor", "10", "--box-radius", "10"], "got 10.0"),
+    (["--psd-slack", "nan"], "got nan"),
+    (["--reality-slack", "-1"], "got -1.0"),
+    (["--den-floor", "inf"], "got inf"),
+    (["--seed", "1.5"], "'1.5'"),
+    (["--box-radius", "nan"], "got nan"),
+    (["--reality-slack", "inf"], "got inf"),
+]
+
+
+@pytest.mark.parametrize("bad, named", BAD_SAMPLING_ARGUMENTS,
+                         ids=["bad%d" % i for i in range(len(BAD_SAMPLING_ARGUMENTS))])
+def test_bad_sampling_argument_exits_2(neg_inv, tmp_path, capsys, bad, named):
+    # the same refusal for a missing function file: arguments are checked
+    # before any file is read
+    for path in (neg_inv, str(tmp_path / "missing.json")):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, "--class", "nevanlinna"] + bad)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err and "cannot read" not in captured.err
+
+
+def test_bad_argument_is_one_stderr_line(neg_inv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["check", neg_inv, "--class", "nevanlinna"] + bad)
+        main(["check", neg_inv, "--class", "nevanlinna", "--samples", "0"])
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr().err == (
+        "darlington check: error: SampleConfig needs an integer count >= 1, got 0\n")
+
+
+def test_eval_refuses_a_negative_den_floor(neg_inv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", neg_inv, "--at", "1j", "--den-floor", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "den_floor >= 0, got -1.0" in captured.err
 
 
 def test_check_seed_zero_draws_entropy(neg_inv, capsys):
