@@ -258,12 +258,17 @@ def check_cayley_inner(f, config=None, tolerances=None):
     interior = _psd_report("nevanlinna", "imag", f, upper_points(cfg, rng, f.d), cfg, tols)
 
     def margin(vals):
-        # the svd raises on NaN: rows with a non-finite value get a NaN margin
-        good = np.isfinite(vals).all(axis=(1, 2))
-        vals = np.where(good[:, None, None], vals, 0.0)
-        norms = np.linalg.svd(vals, compute_uv=False)[:, 0]
-        im_norms = np.abs(np.linalg.eigvalsh(_herm_parts(vals)[1])).max(axis=1)
-        return np.where(good, tols.reality_slack * (1.0 + norms) - im_norms, np.nan), im_norms
+        # ||F||_2 is the root of the largest eigenvalue of F^H F.  F is first
+        # divided by a power of two near its largest entry, which is exact,
+        # so F^H F cannot overflow where F does not.  einsum, not matmul:
+        # reports must not depend on the BLAS thread count.
+        scale = np.ldexp(0.5, np.frexp(np.abs(vals).max(axis=(1, 2)))[1])
+        g = vals / scale[:, None, None]
+        norms = scale * np.sqrt(linalg.hermitian_extreme_eigs(
+            np.einsum("nki,nkj->nij", g.conj(), g))[1])
+        lo, hi = linalg.hermitian_extreme_eigs(_herm_parts(vals)[1])
+        im_norms = np.maximum(np.abs(lo), np.abs(hi))
+        return tols.reality_slack * (1.0 + norms) - im_norms, im_norms
 
     pts = real_points(cfg, rng, f.d)
     kept = _kept(pts, *f.eval_many(pts, tols.den_floor), margin)
@@ -664,7 +669,6 @@ def double_cayley_eval(f, w, den_floor_rtol=DEN_FLOOR_RTOL):
     F = f.eval(z, den_floor_rtol)
     eye = np.eye(f.m)
     pivot = F + 1j * eye
-    s = np.linalg.svd(pivot, compute_uv=False)
-    if s[-1] <= 0.0 or s[0] / s[-1] > CAYLEY_COND_LIMIT:
+    if not np.linalg.cond(pivot) <= CAYLEY_COND_LIMIT:  # inf when singular
         raise SingularCayley("F + iI has condition number beyond %g" % CAYLEY_COND_LIMIT)
     return (F - 1j * eye) @ np.linalg.inv(pivot)

@@ -263,7 +263,6 @@ def _dispatch(args, cfg, tols):
         payload, summary = body(args, f, inputs)
         code = EXIT_OK
     else:
-        cfg = replace(cfg, seed=_resolve_seed(args.seed))
         inputs.update(samples=cfg.count, box_radius=cfg.box_radius,
                       imag_floor=cfg.imag_floor, edge_points=cfg.include_edge_points)
         verdicts, witnesses, summary = body(args, f, inputs, cfg, tols)
@@ -283,6 +282,15 @@ def _dispatch(args, cfg, tols):
 
 # ----------------------------------------------------------------------
 # parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argument in one stderr line, "<prog>: error: <message>",
+    and exit code 2: no usage block.  The subcommands' parsers are of this
+    class too."""
+
+    def error(self, message):
+        self.exit(EXIT_FORMAT, "%s: error: %s\n" % (self.prog, message))
 
 
 def _add_common(sub, sampling):
@@ -306,7 +314,7 @@ def _add_common(sub, sampling):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="darlington",
         description="Lift rational matrix Herglotz functions to one more variable, "
                     "verify class membership numerically, and realize one-variable "
@@ -315,6 +323,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, fail_code, _, _) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(parser=sub)  # main refuses values through it
         _add_common(sub, sampling=fail_code is not None)
         if name != "lift":  # the only command that evaluates nothing
             sub.add_argument("--den-floor", type=float, default=Tolerances.den_floor)
@@ -331,8 +340,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # refused before any file is read; the seed stands in for the one
-    # _dispatch resolves
+    # refused before any file is read; the seed stands in for the resolved one
     try:
         cfg = None if not hasattr(args, "samples") else SampleConfig(
             seed=DEFAULT_SEED if args.seed is None else args.seed, count=args.samples,
@@ -341,8 +349,10 @@ def main(argv=None):
         tols = Tolerances(**{k: v for k, v in vars(args).items()
                              if k in Tolerances.__dataclass_fields__})
     except ValueError as exc:
-        parser.exit(EXIT_FORMAT, "%s %s: error: %s\n" % (parser.prog, args.command, exc))
+        args.parser.error(str(exc))
     try:
+        if cfg is not None:  # a bad DARLINGTON_SEED too is refused before any file is read
+            cfg = replace(cfg, seed=_resolve_seed(args.seed))
         # an overflow ends in a dropped sample or in an error naming it, so
         # numpy's warnings about it would only clutter stderr
         with np.errstate(over="ignore", invalid="ignore"):

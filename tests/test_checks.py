@@ -102,8 +102,8 @@ def test_cayley_inner_flags_interior_violations_too():
 @pytest.mark.parametrize("terms", [{(9,): 1e300}, {(400,): 1.0}])
 def test_overflowed_margins_never_pass(terms):
     # values overflow at part of the sample: those points are dropped, so
-    # a NaN margin cannot turn into "pass" (z^400 also made the boundary
-    # part's svd raise on NaN)
+    # a NaN margin cannot turn into "pass" (z^400 also overflows on the
+    # boundary's real points)
     f = RationalMatrixFunction(sp(1, terms), one(1))
     for check, part in ((check_nevanlinna, "imag"), (check_positive_real, "real"),
                         (check_cayley_inner, "imag")):
@@ -111,6 +111,31 @@ def test_overflowed_margins_never_pass(terms):
         assert rep.verdict == "fail" and np.isfinite(rep.worst_margin), check.__name__
         val = f.eval(np.array([complex(*xy) for xy in rep.witness["point"]]))[0, 0]
         assert (val.imag if part == "imag" else val.real) < 0, check.__name__
+
+
+@pytest.mark.parametrize("c", [1.0, 1e300, 1e308])
+def test_overflowed_rows_are_dropped_for_every_size(c):
+    # c z I_m overflows on the same rows for every m, and those rows are
+    # dropped: the m = 1 report is every m's.  LAPACK took a NaN matrix for a
+    # finite eigenvalue (m = 2 said "pass" on every sample) or raised (m >= 3)
+    for check in (check_nevanlinna, check_positive_real, check_cayley_inner):
+        reports = []
+        for m in range(1, 5):
+            f = RationalMatrixFunction(MatrixPoly(1, m, {(1,): c * np.eye(m)}), one(1))
+            reports.append(check(f).to_dict())
+        assert reports[0]["verdict"] == "pass", check.__name__
+        for rep in reports[1:]:
+            for key in ("verdict", "samples_used", "worst_margin"):
+                if c == 1e300 and key == "worst_margin":
+                    # LAPACK scales a matrix this large for m >= 3, which costs an ulp
+                    assert rep[key] == pytest.approx(reports[0][key], rel=1e-15)
+                else:
+                    assert rep[key] == reports[0][key], (check.__name__, key)
+        drawn = 440 if check is check_cayley_inner else 230
+        if c == 1e308:  # most values overflow
+            assert reports[0]["samples_used"] < drawn, check.__name__
+        else:  # none does, though F^H F would on the boundary at c = 1e300
+            assert reports[0]["samples_used"] == drawn, check.__name__
 
 
 @pytest.mark.parametrize("num, den, tols, note", [

@@ -197,11 +197,31 @@ def test_bad_sampling_argument_exits_2(neg_inv, tmp_path, capsys, bad, named):
 
 
 def test_bad_argument_is_one_stderr_line(neg_inv, capsys):
+    for bad, message in [
+        # a value that SampleConfig refuses
+        (["--samples", "0"], "SampleConfig needs an integer count >= 1, got 0"),
+        # a token that argparse refuses: no usage block either
+        (["--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["check", neg_inv, "--class", "nevanlinna"] + bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "darlington check: error: %s\n" % message
+
+
+def test_bad_command_is_one_stderr_line(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["check", neg_inv, "--class", "nevanlinna", "--samples", "0"])
+        main(["bogus"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == (
-        "darlington check: error: SampleConfig needs an integer count >= 1, got 0\n")
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_bad_seed_variable_is_refused_before_the_file_is_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DARLINGTON_SEED", "x")
+    assert main(["check", str(tmp_path / "missing.json"), "--class", "nevanlinna"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: DARLINGTON_SEED must be an integer, got 'x'\n"
 
 
 def test_eval_refuses_a_negative_den_floor(neg_inv, capsys):
