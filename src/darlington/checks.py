@@ -180,8 +180,11 @@ def real_points(cfg, rng, d):
 
 
 def _herm_parts(vals):
-    adj = np.conj(np.swapaxes(vals, 1, 2))
-    return (vals + adj) / 2.0, (vals - adj) / 2j
+    # halving first keeps every finite entry finite: (vals + adj) / 2 would
+    # overflow above about 9e307
+    h = vals / 2.0
+    adj = np.conj(np.swapaxes(h, 1, 2))
+    return h + adj, (h - adj) / 1j
 
 
 POLE_NOTE = "every sample hit the pole floor"
@@ -251,12 +254,12 @@ def check_positive_real(f, config=None, tolerances=None):
     return _psd_report("positive-real", "real", f, pts, cfg, tols)
 
 
-@_quiet
-def check_cayley_inner(f, config=None, tolerances=None):
-    """Upper-half-plane positivity plus vanishing imaginary part on real points."""
-    cfg, tols, rng = _setup(config, tolerances)
-    interior = _psd_report("nevanlinna", "imag", f, upper_points(cfg, rng, f.d), cfg, tols)
+EXACT_BOUNDARY = "exact: hermitian numerator, real denominator"
 
+
+def _boundary_kept(f, pts, tols):
+    """``_kept``'s rows on the real points ``pts``: the margin
+    ``reality_slack * (1 + ||F||_2) - ||Im F||_2``, then ``||Im F||_2``."""
     def margin(vals):
         # ||F||_2 is the root of the largest eigenvalue of F^H F.  F is first
         # divided by a power of two near its largest entry, which is exact,
@@ -270,8 +273,30 @@ def check_cayley_inner(f, config=None, tolerances=None):
         im_norms = np.maximum(np.abs(lo), np.abs(hi))
         return tols.reality_slack * (1.0 + norms) - im_norms, im_norms
 
+    return _kept(pts, *f.eval_many(pts, tols.den_floor), margin)
+
+
+@_quiet
+def check_cayley_inner(f, config=None, tolerances=None):
+    """Upper-half-plane positivity plus vanishing imaginary part on real points.
+
+    The interior is sampled.  The boundary is exact when the numerator has
+    Hermitian and the denominator real coefficients, as a lift's do: F is
+    then Hermitian at every real point where it is finite, so no real point
+    is drawn.  Otherwise the boundary is sampled too.
+    """
+    cfg, tols, rng = _setup(config, tolerances)
+    interior = _psd_report("nevanlinna", "imag", f, upper_points(cfg, rng, f.d), cfg, tols)
+    inside = replace(interior, check="cayley-inner", witness=interior.witness and dict(
+        interior.witness, part="interior-psd"))
+    if f.num.has_hermitian_coeffs() and f.den.has_real_coeffs():
+        details = {"interior": interior.to_dict(), "boundary": EXACT_BOUNDARY,
+                   "boundary_points_drawn": 0, "tolerances": tols.to_dict()}
+        if "note" in interior.details:  # the interior is inconclusive
+            details["note"] = interior.details["note"]
+        return replace(inside, details=details)
     pts = real_points(cfg, rng, f.d)
-    kept = _kept(pts, *f.eval_many(pts, tols.den_floor), margin)
+    kept = _boundary_kept(f, pts, tols)
     details = {
         "interior": interior.to_dict(),
         "boundary_points_drawn": int(len(pts)),
@@ -281,13 +306,12 @@ def check_cayley_inner(f, config=None, tolerances=None):
         "imag_part_norm": _json_float(im), "part": "boundary-reality"})
     # the half with the smaller margin decides, the boundary on a tie; an
     # inconclusive half has none
-    inside, edge = (np.inf if rep.verdict == "inconclusive" else rep.worst_margin
+    within, edge = (np.inf if rep.verdict == "inconclusive" else rep.worst_margin
                     for rep in (interior, boundary))
-    worse = boundary if edge <= inside else replace(
-        interior, witness=interior.witness and dict(interior.witness, part="interior-psd"))
+    worse = boundary if edge <= within else inside
     if worse.verdict == "inconclusive":  # both halves are; an overflow note wins
         details = dict(details, note=interior.details["note"] if kept == POLE_NOTE else kept)
-    return replace(worse, check="cayley-inner", details=details,
+    return replace(worse, details=details,
                    samples_used=interior.samples_used + boundary.samples_used)
 
 

@@ -20,11 +20,13 @@ from darlington import (
     check_stable,
     lemma11_probe,
     lemma12_probe,
+    lift,
     pencil_probe,
     rotate_to_positive_real,
 )
 from darlington import checks
 from darlington.checks import (
+    EXACT_BOUNDARY,
     OVERFLOW_NOTE,
     POLE_NOTE,
     PencilProbe,
@@ -90,6 +92,63 @@ def test_cayley_inner_needs_boundary_reality():
     rep = check_cayley_inner(f, FAST)
     assert rep.verdict == "fail"
     assert rep.witness["part"] == "boundary-reality"
+    assert "boundary" not in rep.details and rep.details["boundary_points_drawn"] == 90
+
+
+def test_cayley_inner_boundary_is_exact_for_hermitian_over_real(monkeypatch):
+    # a Hermitian-coefficient numerator over a real denominator is Hermitian
+    # at every real point where it is finite: no real point is drawn
+    a, b = np.array([[1.0, 2j], [-2j, 0.5]]), np.array([[2.0, 1.0], [1.0, 3.0]])
+    f = RationalMatrixFunction(MatrixPoly(1, 2, {(1,): b, (0,): a}), one(1))
+    interior = check_nevanlinna(f, FAST)
+    monkeypatch.setattr(checks, "real_points", None)
+    rep = check_cayley_inner(f, FAST)
+    assert rep.verdict == interior.verdict == "pass"
+    assert rep.details["boundary"] == EXACT_BOUNDARY
+    assert rep.details["boundary_points_drawn"] == 0
+    assert rep.details["interior"] == interior.to_dict()
+    assert (rep.samples_used, rep.worst_margin) == (interior.samples_used, interior.worst_margin)
+
+
+def test_cayley_inner_samples_an_unstructured_real_boundary():
+    # -i/(i z1) is -1/z1, real on the reals, but its coefficients are not
+    # Hermitian over real: its boundary is sampled, and passes
+    f = RationalMatrixFunction(sp(1, {(0,): -1j}), sp(1, {(1,): 1j}))
+    rep = check_cayley_inner(f, FAST)
+    assert rep.verdict == "pass" and "boundary" not in rep.details
+    assert rep.details["boundary_points_drawn"] == 90
+    assert rep.samples_used > rep.details["interior"]["samples_used"]
+
+
+def test_exact_boundary_does_not_vouch_for_an_empty_interior():
+    # the one interior sample sits on a zero of the real denominator, so the
+    # interior is inconclusive.  The same function times i/i samples its
+    # boundary and passes on that alone; the exact boundary is no sample
+    cfg = SampleConfig(count=1, include_edge_points=False)
+    w = upper_points(cfg, np.random.default_rng(cfg.seed), 1)[0, 0]
+    den = sp(1, {(2,): 1.0, (1,): -2.0 * w.real, (0,): abs(w) ** 2})
+    rep = check_cayley_inner(RationalMatrixFunction(one(1), den), cfg)
+    assert rep.verdict == "inconclusive" and rep.samples_used == 0
+    assert rep.details["note"] == POLE_NOTE
+    assert rep.details["boundary"] == EXACT_BOUNDARY
+    times_i = RationalMatrixFunction(one(1).scaled(1j), den.scaled(1j))
+    sampled = check_cayley_inner(times_i, cfg)
+    assert sampled.verdict == "pass" and sampled.samples_used == 1
+    assert sampled.details["interior"]["details"]["note"] == POLE_NOTE
+
+
+def test_exact_boundary_agrees_with_the_sampled_one_on_lifts():
+    # every lift is Hermitian over real; its sampled boundary, on the real
+    # points the check would draw after the interior, has a positive margin
+    tols = Tolerances()
+    for case in herglotz_cases():
+        g = lift(case.f).lifted
+        rep = check_cayley_inner(g, FAST)
+        assert rep.verdict == "pass" and rep.details["boundary"] == EXACT_BOUNDARY, case.name
+        rng = np.random.default_rng(FAST.seed)
+        upper_points(FAST, rng, g.d)
+        kept = checks._boundary_kept(g, checks.real_points(FAST, rng, g.d), tols)
+        assert not isinstance(kept, str) and kept[1].min() > 0.0, case.name
 
 
 def test_cayley_inner_flags_interior_violations_too():
@@ -102,8 +161,8 @@ def test_cayley_inner_flags_interior_violations_too():
 @pytest.mark.parametrize("terms", [{(9,): 1e300}, {(400,): 1.0}])
 def test_overflowed_margins_never_pass(terms):
     # values overflow at part of the sample: those points are dropped, so
-    # a NaN margin cannot turn into "pass" (z^400 also overflows on the
-    # boundary's real points)
+    # a NaN margin cannot turn into "pass" (check_cayley_inner takes the
+    # boundary of these real-coefficient inputs as exact)
     f = RationalMatrixFunction(sp(1, terms), one(1))
     for check, part in ((check_nevanlinna, "imag"), (check_positive_real, "real"),
                         (check_cayley_inner, "imag")):
@@ -117,11 +176,16 @@ def test_overflowed_margins_never_pass(terms):
 def test_overflowed_rows_are_dropped_for_every_size(c):
     # c z I_m overflows on the same rows for every m, and those rows are
     # dropped: the m = 1 report is every m's.  LAPACK took a NaN matrix for a
-    # finite eigenvalue (m = 2 said "pass" on every sample) or raised (m >= 3)
+    # finite eigenvalue (m = 2 said "pass" on every sample) or raised (m >= 3).
+    # check_cayley_inner gets numerator and denominator times i: still exactly
+    # real on the reals, but not Hermitian over real, so its boundary (and
+    # F^H F there) is sampled
     for check in (check_nevanlinna, check_positive_real, check_cayley_inner):
+        u = 1j if check is check_cayley_inner else 1.0
         reports = []
         for m in range(1, 5):
-            f = RationalMatrixFunction(MatrixPoly(1, m, {(1,): c * np.eye(m)}), one(1))
+            f = RationalMatrixFunction(MatrixPoly(1, m, {(1,): u * c * np.eye(m)}),
+                                       MatrixPoly.constant(1, u))
             reports.append(check(f).to_dict())
         assert reports[0]["verdict"] == "pass", check.__name__
         for rep in reports[1:]:
@@ -141,14 +205,32 @@ def test_overflowed_rows_are_dropped_for_every_size(c):
 @pytest.mark.parametrize("num, den, tols, note", [
     # every sample is on the pole floor when the floor is the whole denominator
     ({(1,): 1.0}, {(0,): 1.0}, Tolerances(den_floor=1.0), POLE_NOTE),
-    # every value overflows, on both halves of the sample
+    # every value overflows
     ({(1,): 1e300, (0,): 1e300}, {(0,): 1e-300}, None, OVERFLOW_NOTE),
+    # the same two times i/i, which are not Hermitian over real: both halves
+    # are sampled, and both are inconclusive
+    ({(1,): 1j}, {(0,): 1j}, Tolerances(den_floor=1.0), POLE_NOTE),
+    ({(1,): 1e300j, (0,): 1e300j}, {(0,): 1e-300j}, None, OVERFLOW_NOTE),
 ])
 def test_cayley_inner_inconclusive_notes(num, den, tols, note):
     rep = check_cayley_inner(RationalMatrixFunction(sp(1, num), sp(1, den)), FAST, tols)
     assert rep.verdict == "inconclusive" and rep.samples_used == 0
     assert rep.details["note"] == note
     assert rep.details["interior"]["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("check, points", [(check_nevanlinna, upper_points),
+                                           (check_positive_real, checks.right_points)])
+def test_class_checks_keep_every_finite_row(check, points):
+    # the Hermitian parts of an entry above about 9e307 are finite: halving
+    # before adding keeps 1e308 z's every finite value as a sample
+    f = RationalMatrixFunction(sp(1, {(1,): 1e308}), one(1))
+    cfg = SampleConfig()
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, ok = f.eval_many(points(cfg, np.random.default_rng(cfg.seed), 1))
+    finite = int((ok & np.isfinite(vals).all(axis=(1, 2))).sum())
+    assert finite == 35
+    assert check(f, cfg).samples_used == finite
 
 
 def test_reports_are_deterministic():
