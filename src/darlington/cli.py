@@ -14,6 +14,12 @@ Exit codes:
   5  a class membership check failed
   6  only inconclusive evidence (e.g. a stability hunt found no zero)
   7  evaluation hit a denominator zero
+
+Imports: at module level only the standard library and darlington.config,
+which loads no numpy; each command imports what it uses.  main refuses bad
+arguments, then sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 unless the user set them or numpy is already loaded,
+and only then imports numpy.
 """
 
 from __future__ import annotations
@@ -21,33 +27,11 @@ from __future__ import annotations
 import argparse
 import cmath
 import os
+import secrets
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .checks import (
-    DEFAULT_SEED,
-    SampleConfig,
-    Tolerances,
-    check_cayley_inner,
-    check_nevanlinna,
-    check_positive_real,
-    check_real_stable,
-    check_stable,
-)
-from .fileio import (
-    FileFormatError,
-    dumps_deterministic,
-    function_to_dict,
-    json_pairs,
-    load_function,
-    write_text,
-)
-from .lift import lift, restrict_at_i
-from .poly import DimensionMismatch
-from .rational import NearPole, identity_equal
-from .realization import ReconstructionMismatch, SplitFailed, realize_1d
+from .config import DEFAULT_SEED, SampleConfig, Tolerances
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,6 +45,8 @@ EXIT_NEAR_POLE = 7
 
 def _resolve_seed(arg_seed):
     """--seed wins, then DARLINGTON_SEED, then the default; 0 means OS entropy."""
+    from .fileio import FileFormatError
+
     seed = arg_seed
     if seed is None:
         env = os.environ.get("DARLINGTON_SEED", "")
@@ -74,7 +60,7 @@ def _resolve_seed(arg_seed):
         else:
             seed = DEFAULT_SEED
     if seed == 0:
-        return int(np.random.SeedSequence().entropy % (2**63))
+        return secrets.randbits(63)
     return int(seed)
 
 
@@ -100,12 +86,19 @@ def _evidence(rep):
 
 
 def _lift(args, f, inputs):
+    from .fileio import function_to_dict
+    from .lift import lift
+
     lifted = lift(f).lifted
     return (function_to_dict(lifted, "nevanlinna"),
             "lift: %d -> %d variables, m=%d" % (f.d, lifted.d, lifted.m))
 
 
 def _verify(args, f, inputs, cfg, tols):
+    from .checks import check_cayley_inner, check_nevanlinna
+    from .lift import lift, restrict_at_i
+    from .rational import identity_equal
+
     result = lift(f)
     back = restrict_at_i(result.lifted)
     rep_in = check_nevanlinna(f, cfg, tols)
@@ -124,21 +117,27 @@ def _verify(args, f, inputs, cfg, tols):
         "%s=%s" % kv for kv in sorted(verdicts.items()))
 
 
+# --class: the function of darlington.checks that tests it
 _MEMBERSHIP = {
-    "nevanlinna": check_nevanlinna,
-    "cayley-inner": check_cayley_inner,
-    "positive-real": check_positive_real,
+    "nevanlinna": "check_nevanlinna",
+    "cayley-inner": "check_cayley_inner",
+    "positive-real": "check_positive_real",
 }
 
 
 def _check(args, f, inputs, cfg, tols):
-    rep = _MEMBERSHIP[args.membership](f, cfg, tols)
+    from . import checks
+
+    rep = getattr(checks, _MEMBERSHIP[args.membership])(f, cfg, tols)
     inputs["class"] = args.membership
     return ({args.membership: rep.verdict}, {args.membership: _evidence(rep)},
             "check %s: %s (worst margin %s)" % (args.membership, rep.verdict, _margin(rep)))
 
 
 def _stable(args, f, inputs, cfg, tols):
+    from .checks import check_real_stable, check_stable
+    from .fileio import FileFormatError
+
     if f.m != 1:
         raise FileFormatError("stable needs a scalar polynomial (m=1), got m=%d" % f.m)
     if f.den.total_degree() != 0:
@@ -150,6 +149,10 @@ def _stable(args, f, inputs, cfg, tols):
 
 
 def _realize1d(args, f, inputs, cfg, tols):
+    from .checks import check_positive_real
+    from .fileio import function_to_dict
+    from .realization import SplitFailed, realize_1d
+
     try:
         real = realize_1d(f)
     except SplitFailed as exc:
@@ -184,20 +187,29 @@ def _realize1d(args, f, inputs, cfg, tols):
         real.variant, rep_block.verdict)
 
 
-def _eval(args, f, inputs):
+def _point(at):
+    """The coordinates of --at, each a finite complex number, or ValueError."""
     try:
-        point = [complex(tok) for tok in args.at.split(",")]
+        point = [complex(tok) for tok in at.split(",")]
     except ValueError:
-        raise FileFormatError("--at expects comma-separated complex numbers like 1+2j,0.5-0.1j")
-    if len(point) != f.d:
-        raise FileFormatError("--at gave %d coordinates for a %d-variable function"
-                              % (len(point), f.d))
+        raise ValueError("--at expects comma-separated complex numbers like 1+2j,0.5-0.1j")
     if not all(cmath.isfinite(c) for c in point):
-        raise FileFormatError("--at coordinates must be finite, got %s" % args.at)
-    value = f.eval(np.array(point), args.den_floor)
+        raise ValueError("--at coordinates must be finite, got %s" % at)
+    return point
+
+
+def _eval(args, f, inputs):
+    import numpy as np
+
+    from .fileio import FileFormatError, json_pairs
+
+    if len(args.point) != f.d:
+        raise FileFormatError("--at gave %d coordinates for a %d-variable function"
+                              % (len(args.point), f.d))
+    value = f.eval(np.array(args.point), args.den_floor)
     if not np.all(np.isfinite(value)):
         raise FileFormatError("the value at %s is not finite" % args.at)
-    inputs["point"] = json_pairs(point)
+    inputs["point"] = json_pairs(args.point)
     payload = {
         "command": "eval",
         "inputs": inputs,
@@ -229,16 +241,18 @@ COMMANDS = {
 EXACT = ("identity-at-i", "pieces-structured", "reconstruction")
 
 
-# what a command may raise: (type, summary prefix, exit code), first match
-# wins; a ValueError that is neither of the first two is a coefficient that
-# overflowed while the command ran
-_ERRORS = (
-    (FileFormatError, "error", EXIT_FORMAT),
-    (DimensionMismatch, "precondition", EXIT_PRECONDITION),
-    (ValueError, "error", EXIT_FORMAT),
-    (ReconstructionMismatch, "identity failure", EXIT_IDENTITY),
-    (NearPole, "near pole", EXIT_NEAR_POLE),
-)
+def _errors():
+    """What a command may raise: (type, summary prefix, exit code), first match wins; a
+    ValueError that is neither of the first two is a coefficient that overflowed."""
+    from .fileio import FileFormatError
+    from .poly import DimensionMismatch
+    from .rational import NearPole, ReconstructionMismatch
+
+    return ((FileFormatError, "error", EXIT_FORMAT),
+            (DimensionMismatch, "precondition", EXIT_PRECONDITION),
+            (ValueError, "error", EXIT_FORMAT),
+            (ReconstructionMismatch, "identity failure", EXIT_IDENTITY),
+            (NearPole, "near pole", EXIT_NEAR_POLE))
 
 
 def _exit_code(verdicts, fail_code):
@@ -253,6 +267,8 @@ def _exit_code(verdicts, fail_code):
 
 
 def _dispatch(args, cfg, tols):
+    from .fileio import dumps_deterministic, load_function, write_text
+
     _, fail_code, needs, body = COMMANDS[args.command]
     f, frame = load_function(args.function)
     if needs is not None and frame != needs[0]:
@@ -340,7 +356,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # refused before any file is read; the seed stands in for the resolved one
+    # refused before any file is read, and before numpy loads; the seed
+    # stands in for the resolved one
     try:
         cfg = None if not hasattr(args, "samples") else SampleConfig(
             seed=DEFAULT_SEED if args.seed is None else args.seed, count=args.samples,
@@ -350,6 +367,18 @@ def main(argv=None):
                              if k in Tolerances.__dataclass_fields__})
     except ValueError as exc:
         args.parser.error(str(exc))
+    if args.command == "eval":
+        try:
+            args.point = _point(args.at)
+        except ValueError as exc:
+            _say("error: %s" % exc)
+            return EXIT_FORMAT
+    if "numpy" not in sys.modules:  # a loaded numpy keeps the thread count it started with
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
+    import numpy as np
+
+    errors = _errors()
     try:
         if cfg is not None:  # a bad DARLINGTON_SEED too is refused before any file is read
             cfg = replace(cfg, seed=_resolve_seed(args.seed))
@@ -357,8 +386,8 @@ def main(argv=None):
         # numpy's warnings about it would only clutter stderr
         with np.errstate(over="ignore", invalid="ignore"):
             return _dispatch(args, cfg, tols)
-    except tuple(error for error, _, _ in _ERRORS) as exc:
-        prefix, code = next((p, c) for error, p, c in _ERRORS if isinstance(exc, error))
+    except tuple(error for error, _, _ in errors) as exc:
+        prefix, code = next((p, c) for error, p, c in errors if isinstance(exc, error))
         _say("%s: %s" % (prefix, exc))
         return code
 

@@ -14,16 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_SEED, DEN_FLOOR_RTOL
 from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
 
-DEFAULT_SEED = 0xDA71
 IDENTITY_RTOL = 1e-12
-DEN_FLOOR_RTOL = 1e-12
 GCD_DROP_TOL = 1e-10
 
 
 class NearPole(ArithmeticError):
     """Evaluation point is too close to a denominator zero."""
+
+
+class ReconstructionMismatch(ArithmeticError):
+    """The assembled block failed to reproduce the input exactly."""
 
 
 class DegenerateLine(RuntimeError):

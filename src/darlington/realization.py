@@ -30,8 +30,8 @@ import numpy as np
 
 from .checks import _imag_coeff_excess, _quiet
 from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
-from .rational import (RationalMatrixFunction, _coeffs, _identity_gap, _negate_argument, _poly1,
-                       _sub, _trim)
+from .rational import (RationalMatrixFunction, ReconstructionMismatch, _coeffs, _identity_gap,
+                       _negate_argument, _poly1, _sub, _trim)
 
 SPLIT_STRUCTURE_RTOL = 1e-7
 SPLIT_IDENTITY_RTOL = 1e-7
@@ -47,10 +47,6 @@ class SplitFailed(ArithmeticError):
     order 16, 1 of order 20, 29 of order 24).  A refusal is never a wrong
     closure.
     """
-
-
-class ReconstructionMismatch(ArithmeticError):
-    """The assembled block failed to reproduce the input exactly."""
 
 
 def _scalar(p):

@@ -355,13 +355,13 @@ def test_realize1d_rejects_non_positive_real(tmp_path, capsys):
 
 
 def test_realize1d_blames_itself_on_positive_real_input(pr_simple, capsys, monkeypatch):
-    import darlington.cli as cli
+    import darlington.realization as realization
     from darlington import SplitFailed
 
     def refuse(f):
         raise SplitFailed("refused")
 
-    monkeypatch.setattr(cli, "realize_1d", refuse)
+    monkeypatch.setattr(realization, "realize_1d", refuse)
     code, doc = run(capsys, ["realize1d", pr_simple] + FAST)
     assert code == 4
     assert doc["verdicts"] == {"positive-real": "pass", "reconstruction": "fail"}
