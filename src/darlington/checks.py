@@ -20,8 +20,8 @@ from . import linalg
 from .config import DEN_FLOOR_RTOL, SampleConfig, Tolerances, _is_int_at_least
 from .fileio import json_pairs
 from .lift import _pencil
-from .poly import MatrixPoly
-from .rational import RationalMatrixFunction
+from .poly import MatrixPoly, _quiet
+from .rational import RationalMatrixFunction, _imag_coeff_excess
 
 ROOT_ABS_RTOL = 1e-10
 # a hunted polynomial settles, and stops descending, once a row is below
@@ -29,13 +29,7 @@ ROOT_ABS_RTOL = 1e-10
 # witness keeps that much room under MatrixPoly.evaluate, which rounds
 # differently from the descent
 RETIRE_RTOL = 1e-12
-COEFF_REAL_RTOL = 1e-12
 CAYLEY_COND_LIMIT = 1e12
-
-# the sampled checks evaluate wherever the sample lands: values that
-# overflow there are dropped or lose the comparison they enter, so numpy's
-# warnings about them would only clutter stderr
-_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class SingularCayley(ArithmeticError):
@@ -427,14 +421,6 @@ def check_stable(p, config=None, tolerances=None):
     never "pass".
     """
     return _hunt_one("stable", p, config, tolerances, False)
-
-
-def _imag_coeff_excess(coeffs):
-    """The largest imaginary part in the complex array ``coeffs`` (a
-    polynomial's stack or a row of the hunt's table), when it exceeds
-    COEFF_REAL_RTOL times the largest magnitude there; 0.0 otherwise."""
-    worst = float(np.abs(coeffs.imag).max(initial=0.0))
-    return worst if worst > COEFF_REAL_RTOL * max(np.abs(coeffs).max(initial=0.0), 1e-300) else 0.0
 
 
 def _non_real_report(check, p, cfg):

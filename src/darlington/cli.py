@@ -15,11 +15,16 @@ Exit codes:
   6  only inconclusive evidence (e.g. a stability hunt found no zero)
   7  evaluation hit a denominator zero
 
-Imports: at module level only the standard library and darlington.config,
-which loads no numpy; each command imports what it uses.  main refuses bad
-arguments, then sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS to 1 unless the user set them or numpy is already loaded,
-and only then imports numpy.
+COMMANDS is the only place that knows what a command is: its help, the
+frame it needs, its own arguments, the exit code of a failed sampled check
+and its body.  The parser, main and _dispatch name no command.
+
+Before any file is read or numpy loads, main refuses, in this order, an
+argument the parser or SampleConfig/Tolerances refuse, a bad --at, and a
+bad DARLINGTON_SEED.  It then sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS to 1 unless the user set them or numpy is already
+loaded, and only then imports numpy: at module level this file imports
+only the standard library and darlington.config, and each body what it uses.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import cmath
 import os
 import secrets
 import sys
+from collections import namedtuple
 from dataclasses import replace
 
 from .config import DEFAULT_SEED, SampleConfig, Tolerances
@@ -44,24 +50,29 @@ EXIT_NEAR_POLE = 7
 
 
 def _resolve_seed(arg_seed):
-    """--seed wins, then DARLINGTON_SEED, then the default; 0 means OS entropy."""
-    from .fileio import FileFormatError
+    """--seed wins, then DARLINGTON_SEED, then the default; 0 means OS entropy.
+    A bad DARLINGTON_SEED is a ValueError."""
+    seed, env = arg_seed, os.environ.get("DARLINGTON_SEED", "")
+    if seed is None and env:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError("DARLINGTON_SEED must be an integer, got %r" % env)
+        if seed < 0:
+            raise ValueError("DARLINGTON_SEED must be >= 0, got %d" % seed)
+    seed = DEFAULT_SEED if seed is None else seed
+    return secrets.randbits(63) if seed == 0 else int(seed)
 
-    seed = arg_seed
-    if seed is None:
-        env = os.environ.get("DARLINGTON_SEED", "")
-        if env:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise FileFormatError("DARLINGTON_SEED must be an integer, got %r" % env)
-            if seed < 0:
-                raise FileFormatError("DARLINGTON_SEED must be >= 0, got %d" % seed)
-        else:
-            seed = DEFAULT_SEED
-    if seed == 0:
-        return secrets.randbits(63)
-    return int(seed)
+
+def _point(at):
+    """The coordinates of --at, each a finite complex number, or ValueError."""
+    try:
+        point = [complex(tok) for tok in at.split(",")]
+    except ValueError:
+        raise ValueError("--at expects comma-separated complex numbers like 1+2j,0.5-0.1j")
+    if not all(cmath.isfinite(c) for c in point):
+        raise ValueError("--at coordinates must be finite, got %s" % at)
+    return point
 
 
 def _say(msg):
@@ -77,20 +88,45 @@ def _evidence(rep):
     return {k: report[k] for k in ("verdict", "worst_margin", "samples_used", "witness")}
 
 
+def _report(args, inputs, cfg, tols, verdicts, witnesses=None):
+    """The payload of a report and its exit code.  Each verdict is a
+    CheckReport, a sampled check whose evidence joins the witnesses, or a
+    string, the verdict of an exact identity.  A command that draws no
+    sample reports seed 0, and only the tolerances it accepts."""
+    sampled = {k: rep for k, rep in verdicts.items() if not isinstance(rep, str)}
+    verdicts = {k: getattr(v, "verdict", v) for k, v in verdicts.items()}
+    tested = [verdicts[k] for k in sampled]
+    if cfg is not None:
+        inputs.update(samples=cfg.count, box_radius=cfg.box_radius,
+                      imag_floor=cfg.imag_floor, edge_points=cfg.include_edge_points)
+    payload = {
+        "command": args.command,
+        "inputs": inputs,
+        "seed": 0 if cfg is None else cfg.seed,
+        "tolerances": {k: v for k, v in tols.to_dict().items() if hasattr(args, k)},
+        "verdicts": verdicts,
+        "witnesses": {**(witnesses or {}), **{k: _evidence(rep) for k, rep in sampled.items()}},
+    }
+    code = (COMMANDS[args.command].fail_code if "fail" in tested
+            else EXIT_IDENTITY if "fail" in verdicts.values()
+            else EXIT_INCONCLUSIVE if "inconclusive" in tested else EXIT_OK)
+    return payload, code
+
+
 # ----------------------------------------------------------------------
 # subcommands
 #
-# A body adds what it reads from its own arguments to ``inputs``.  A sampling
-# body returns (verdicts, witnesses, summary) and _dispatch builds the report;
-# the others return (payload, summary).
+# A body takes (args, f, inputs, cfg, tols), where cfg is None for a command
+# that draws no sample, adds what it reads from its own arguments to
+# ``inputs`` and returns (payload, exit code, summary).
 
 
-def _lift(args, f, inputs):
+def _lift(args, f, inputs, cfg, tols):
     from .fileio import function_to_dict
     from .lift import lift
 
     lifted = lift(f).lifted
-    return (function_to_dict(lifted, "nevanlinna"),
+    return (function_to_dict(lifted, "nevanlinna"), EXIT_OK,
             "lift: %d -> %d variables, m=%d" % (f.d, lifted.d, lifted.m))
 
 
@@ -103,18 +139,14 @@ def _verify(args, f, inputs, cfg, tols):
     back = restrict_at_i(result.lifted)
     rep_in = check_nevanlinna(f, cfg, tols)
     rep_lift = check_cayley_inner(result.lifted, cfg, tols)
-    verdicts = {
+    payload, code = _report(args, inputs, cfg, tols, {
         "identity-at-i": "pass" if identity_equal(back, result.input) else "fail",
         "pieces-structured": "pass" if result.pieces.is_structured() else "fail",
-        "input-nevanlinna": rep_in.verdict,
-        "lift-cayley-inner": rep_lift.verdict,
-    }
-    witnesses = {
-        "input-nevanlinna": _evidence(rep_in),
-        "lift-cayley-inner": _evidence(rep_lift),
-    }
-    return verdicts, witnesses, "verify: " + ", ".join(
-        "%s=%s" % kv for kv in sorted(verdicts.items()))
+        "input-nevanlinna": rep_in,
+        "lift-cayley-inner": rep_lift,
+    })
+    return payload, code, "verify: " + ", ".join(
+        "%s=%s" % kv for kv in sorted(payload["verdicts"].items()))
 
 
 # --class: the function of darlington.checks that tests it
@@ -130,7 +162,7 @@ def _check(args, f, inputs, cfg, tols):
 
     rep = getattr(checks, _MEMBERSHIP[args.membership])(f, cfg, tols)
     inputs["class"] = args.membership
-    return ({args.membership: rep.verdict}, {args.membership: _evidence(rep)},
+    return (*_report(args, inputs, cfg, tols, {args.membership: rep}),
             "check %s: %s (worst margin %s)" % (args.membership, rep.verdict, _margin(rep)))
 
 
@@ -144,7 +176,7 @@ def _stable(args, f, inputs, cfg, tols):
         raise FileFormatError("stable needs a polynomial: den_terms must be a nonzero constant")
     rep = (check_real_stable if args.real else check_stable)(f.num, cfg, tols)
     inputs["real"] = bool(args.real)
-    return ({rep.check: rep.verdict}, {rep.check: _evidence(rep)},
+    return (*_report(args, inputs, cfg, tols, {rep.check: rep}),
             "stable: %s (worst margin %s)" % (rep.verdict, _margin(rep)))
 
 
@@ -159,46 +191,25 @@ def _realize1d(args, f, inputs, cfg, tols):
         # the exact verdict fails; the input's own check says whose fault it is
         rep = check_positive_real(f, cfg, tols)
         cause = "input" if rep.verdict == "fail" else "library"
-        verdicts = {"positive-real": rep.verdict, "reconstruction": "fail"}
-        witnesses = {"positive-real": _evidence(rep),
-                     "reconstruction": {"split_failed": str(exc), "cause": cause}}
-        return verdicts, witnesses, "realize1d: split failed (%s); input positive-real=%s" % (
-            exc, rep.verdict)
+        return (*_report(args, inputs, cfg, tols,
+                         {"positive-real": rep, "reconstruction": "fail"},
+                         {"reconstruction": {"split_failed": str(exc), "cause": cause}}),
+                "realize1d: split failed (%s); input positive-real=%s" % (exc, rep.verdict))
     rep_block = check_positive_real(real.block(), cfg, tols)
 
     def fd(g):
         return None if g is None else function_to_dict(g, "positive-real")
 
-    verdicts = {"reconstruction": "pass", "block-positive-real": rep_block.verdict}
-    witnesses = {
-        "realization": {
-            "variant": real.variant,
-            "kappa": real.kappa,
-            "r": real.r,
-            "a": fd(real.a),
-            "b": fd(real.b),
-            "c": fd(real.c),
-            "d": fd(real.d),
-            "residual": fd(real.residual),
-        },
-        "block-positive-real": _evidence(rep_block),
-    }
-    return verdicts, witnesses, "realize1d: variant=%s block-positive-real=%s" % (
-        real.variant, rep_block.verdict)
+    realization = {"variant": real.variant, "kappa": real.kappa, "r": real.r,
+                   "a": fd(real.a), "b": fd(real.b), "c": fd(real.c), "d": fd(real.d),
+                   "residual": fd(real.residual)}
+    return (*_report(args, inputs, cfg, tols,
+                     {"reconstruction": "pass", "block-positive-real": rep_block},
+                     {"realization": realization}),
+            "realize1d: variant=%s block-positive-real=%s" % (real.variant, rep_block.verdict))
 
 
-def _point(at):
-    """The coordinates of --at, each a finite complex number, or ValueError."""
-    try:
-        point = [complex(tok) for tok in at.split(",")]
-    except ValueError:
-        raise ValueError("--at expects comma-separated complex numbers like 1+2j,0.5-0.1j")
-    if not all(cmath.isfinite(c) for c in point):
-        raise ValueError("--at coordinates must be finite, got %s" % at)
-    return point
-
-
-def _eval(args, f, inputs):
+def _eval(args, f, inputs, cfg, tols):
     import numpy as np
 
     from .fileio import FileFormatError, json_pairs
@@ -206,39 +217,59 @@ def _eval(args, f, inputs):
     if len(args.point) != f.d:
         raise FileFormatError("--at gave %d coordinates for a %d-variable function"
                               % (len(args.point), f.d))
-    value = f.eval(np.array(args.point), args.den_floor)
+    value = f.eval(np.array(args.point), tols.den_floor)
     if not np.all(np.isfinite(value)):
         raise FileFormatError("the value at %s is not finite" % args.at)
     inputs["point"] = json_pairs(args.point)
-    payload = {
-        "command": "eval",
-        "inputs": inputs,
-        "seed": 0,
-        "tolerances": {"den_floor": args.den_floor},
-        "verdicts": {"eval": "ok"},
-        "witnesses": {"value": json_pairs(value)},
-    }
-    return payload, "eval: ok"
+    return (*_report(args, inputs, cfg, tols, {"eval": "ok"}, {"value": json_pairs(value)}),
+            "eval: ok")
 
 
-# name: (help, exit code of a failed sampled check, or None for a command that
-# does not sample, (frame the input must be in, what to say otherwise) or
-# None, body)
+def _arg(*flags, **kwargs):
+    """One argument of a command, as add_argument takes it."""
+    return flags, kwargs
+
+
+# the arguments of a command that samples: the fields of SampleConfig
+# (--samples is count) and Tolerances, whose rules main applies
+_DEN_FLOOR = _arg("--den-floor", type=float, default=Tolerances.den_floor)
+_SAMPLING = (
+    _arg("--seed", type=int, default=None,
+         help="RNG seed (0 = OS entropy; default: $DARLINGTON_SEED or %d)" % DEFAULT_SEED),
+    _arg("--samples", type=int, default=SampleConfig.count),
+    _arg("--box-radius", type=float, default=SampleConfig.box_radius),
+    _arg("--imag-floor", type=float, default=SampleConfig.imag_floor,
+         help="smallest sampled imaginary part; must be below --box-radius"),
+    _arg("--no-edge-points", action="store_true"),
+    _arg("--psd-slack", type=float, default=Tolerances.psd_slack),
+    _arg("--reality-slack", type=float, default=Tolerances.reality_slack),
+    _DEN_FLOOR,
+)
+
+# needs: (the frame the input must be in, what to say otherwise), or None;
+# fail_code: the exit code of a failed sampled check, or None for a command
+# that draws no sample
+_Command = namedtuple("_Command", "help needs arguments fail_code body")
 COMMANDS = {
-    "lift": ("lift a nevanlinna-frame function to d+1 variables", None,
-             ("nevanlinna", "lift needs the nevanlinna frame"), _lift),
-    "verify": ("lift, restrict back at i, and check both classes", EXIT_CLASS,
-               ("nevanlinna", "verify needs the nevanlinna frame"), _verify),
-    "check": ("sampled class membership check", EXIT_FAIL, None, _check),
-    "stable": ("hunt for upper-half-plane zeros of a polynomial", EXIT_FAIL, None, _stable),
-    "realize1d": ("lossless 2x2 realization of a scalar one-variable positive-real function",
-                  EXIT_CLASS, ("positive-real", "the realization needs positive-real"),
-                  _realize1d),
-    "eval": ("evaluate at a point", None, None, _eval),
+    "lift": _Command("lift a nevanlinna-frame function to d+1 variables",
+                     ("nevanlinna", "lift needs the nevanlinna frame"), (), None, _lift),
+    "verify": _Command("lift, restrict back at i, and check both classes",
+                       ("nevanlinna", "verify needs the nevanlinna frame"), _SAMPLING,
+                       EXIT_CLASS, _verify),
+    "check": _Command("sampled class membership check", None, _SAMPLING + (
+        _arg("--class", dest="membership", required=True, choices=sorted(_MEMBERSHIP),
+             help="which membership to test"),), EXIT_FAIL, _check),
+    "stable": _Command("hunt for upper-half-plane zeros of a polynomial", None, _SAMPLING + (
+        _arg("--real", action="store_true",
+             help="also require real coefficients (real-stability)"),), EXIT_FAIL, _stable),
+    "realize1d": _Command(
+        "lossless 2x2 realization of a scalar one-variable positive-real function",
+        ("positive-real", "the realization needs positive-real"), _SAMPLING, EXIT_CLASS,
+        _realize1d),
+    "eval": _Command("evaluate at a point", None, (_DEN_FLOOR, _arg(
+        "--at", required=True, help="comma-separated coordinates, e.g. 1+2j,0.5-0.1j")),
+        None, _eval),
 }
-
-# verdicts of exact identities; every other verdict is a sampled check's
-EXACT = ("identity-at-i", "pieces-structured", "reconstruction")
 
 
 def _errors():
@@ -255,42 +286,16 @@ def _errors():
             (NearPole, "near pole", EXIT_NEAR_POLE))
 
 
-def _exit_code(verdicts, fail_code):
-    sampled = [v for k, v in verdicts.items() if k not in EXACT]
-    if "fail" in sampled:
-        return fail_code
-    if "fail" in verdicts.values():
-        return EXIT_IDENTITY
-    if "inconclusive" in sampled:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
 def _dispatch(args, cfg, tols):
     from .fileio import dumps_deterministic, load_function, write_text
 
-    _, fail_code, needs, body = COMMANDS[args.command]
+    needs = COMMANDS[args.command].needs
     f, frame = load_function(args.function)
     if needs is not None and frame != needs[0]:
         _say("%s: input frame is %r; %s" % (args.command, frame, needs[1]))
         return EXIT_PRECONDITION
     inputs = {"function": args.function, "d": f.d, "m": f.m, "frame": frame}
-    if fail_code is None:
-        payload, summary = body(args, f, inputs)
-        code = EXIT_OK
-    else:
-        inputs.update(samples=cfg.count, box_radius=cfg.box_radius,
-                      imag_floor=cfg.imag_floor, edge_points=cfg.include_edge_points)
-        verdicts, witnesses, summary = body(args, f, inputs, cfg, tols)
-        payload = {
-            "command": args.command,
-            "inputs": inputs,
-            "seed": cfg.seed,
-            "tolerances": tols.to_dict(),
-            "verdicts": verdicts,
-            "witnesses": witnesses,
-        }
-        code = _exit_code(verdicts, fail_code)
+    payload, code, summary = COMMANDS[args.command].body(args, f, inputs, cfg, tols)
     write_text(args.output or "-", dumps_deterministic(payload))
     _say(summary)
     return code
@@ -309,26 +314,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_FORMAT, "%s: error: %s\n" % (self.prog, message))
 
 
-def _add_common(sub, sampling):
-    """The arguments of every command; with ``sampling``, also the fields of
-    SampleConfig (``--samples`` is count) and Tolerances, whose rules main
-    applies."""
-    sub.add_argument("function", help="function JSON path, or - for stdin")
-    sub.add_argument("-o", "--output", default=None,
-                     help="write the JSON result here instead of stdout")
-    if sampling:
-        sub.add_argument("--seed", type=int, default=None,
-                         help="RNG seed (0 = OS entropy; default: $DARLINGTON_SEED or %d)"
-                              % DEFAULT_SEED)
-        sub.add_argument("--samples", type=int, default=SampleConfig.count)
-        sub.add_argument("--box-radius", type=float, default=SampleConfig.box_radius)
-        sub.add_argument("--imag-floor", type=float, default=SampleConfig.imag_floor,
-                         help="smallest sampled imaginary part; must be below --box-radius")
-        sub.add_argument("--no-edge-points", action="store_true")
-        sub.add_argument("--psd-slack", type=float, default=Tolerances.psd_slack)
-        sub.add_argument("--reality-slack", type=float, default=Tolerances.reality_slack)
-
-
 def build_parser():
     parser = _Parser(
         prog="darlington",
@@ -337,25 +322,19 @@ def build_parser():
                     "positive-real functions as lossless 2x2 blocks.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fail_code, _, _) in COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
         sub.set_defaults(parser=sub)  # main refuses values through it
-        _add_common(sub, sampling=fail_code is not None)
-        if name != "lift":  # the only command that evaluates nothing
-            sub.add_argument("--den-floor", type=float, default=Tolerances.den_floor)
-    subs.choices["check"].add_argument("--class", dest="membership", required=True,
-                                       choices=sorted(_MEMBERSHIP),
-                                       help="which membership to test")
-    subs.choices["stable"].add_argument("--real", action="store_true",
-                                        help="also require real coefficients (real-stability)")
-    subs.choices["eval"].add_argument("--at", required=True,
-                                      help="comma-separated coordinates, e.g. 1+2j,0.5-0.1j")
+        sub.add_argument("function", help="function JSON path, or - for stdin")
+        sub.add_argument("-o", "--output", default=None,
+                         help="write the JSON result here instead of stdout")
+        for flags, kwargs in command.arguments:
+            sub.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # refused before any file is read, and before numpy loads; the seed
     # stands in for the resolved one
     try:
@@ -367,12 +346,14 @@ def main(argv=None):
                              if k in Tolerances.__dataclass_fields__})
     except ValueError as exc:
         args.parser.error(str(exc))
-    if args.command == "eval":
-        try:
+    try:
+        if hasattr(args, "at"):
             args.point = _point(args.at)
-        except ValueError as exc:
-            _say("error: %s" % exc)
-            return EXIT_FORMAT
+        if cfg is not None:
+            cfg = replace(cfg, seed=_resolve_seed(args.seed))
+    except ValueError as exc:
+        _say("error: %s" % exc)
+        return EXIT_FORMAT
     if "numpy" not in sys.modules:  # a loaded numpy keeps the thread count it started with
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, "1")
@@ -380,8 +361,6 @@ def main(argv=None):
 
     errors = _errors()
     try:
-        if cfg is not None:  # a bad DARLINGTON_SEED too is refused before any file is read
-            cfg = replace(cfg, seed=_resolve_seed(args.seed))
         # an overflow ends in a dropped sample or in an error naming it, so
         # numpy's warnings about it would only clutter stderr
         with np.errstate(over="ignore", invalid="ignore"):

@@ -30,6 +30,11 @@ from types import MappingProxyType
 
 import numpy as np
 
+# numpy's overflow, invalid and divide warnings off, for code that drops the
+# values that overflow or raises an error naming them; a decorator only, as
+# numpy refuses a second ``with`` on one errstate
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 class DimensionMismatch(ValueError):
     """Operands disagree in variable count or matrix size, or an input has the

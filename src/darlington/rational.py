@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_SEED, DEN_FLOOR_RTOL
-from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
+from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient, _quiet
 
 IDENTITY_RTOL = 1e-12
+COEFF_REAL_RTOL = 1e-12
 GCD_DROP_TOL = 1e-10
 
 
@@ -62,6 +63,7 @@ class RationalMatrixFunction:
     def m(self):
         return self.num.m
 
+    @_quiet
     def normalize(self):
         """Divide by the graded-lex-leading denominator coefficient, which
         comes out exactly 1.
@@ -73,8 +75,7 @@ class RationalMatrixFunction:
         exps, lead = self.den.leading_coefficient()
         c = complex(lead[0, 0])
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return RationalMatrixFunction(self.num.divided(c), self.den.divided(c))
+            return RationalMatrixFunction(self.num.divided(c), self.den.divided(c))
         except NonFiniteCoefficient as exc:
             raise NonFiniteCoefficient("dividing by the leading denominator coefficient %r at %r "
                                        "overflows: %s" % (c, exps, exc)) from exc
@@ -116,6 +117,14 @@ def _identity_gap(diff, operands, rtol):
     identity holds when the first is at most the second."""
     scale = max(np.abs(u).max(initial=0.0) for u in operands)
     return float(np.abs(diff).max(initial=0.0)), float(rtol * scale)
+
+
+def _imag_coeff_excess(coeffs):
+    """The largest imaginary part in the complex array ``coeffs`` (a
+    polynomial's stack or a row of the hunt's table), when it exceeds
+    COEFF_REAL_RTOL times the largest magnitude there; 0.0 otherwise."""
+    worst = float(np.abs(coeffs.imag).max(initial=0.0))
+    return worst if worst > COEFF_REAL_RTOL * max(np.abs(coeffs).max(initial=0.0), 1e-300) else 0.0
 
 
 def identity_equal(f, h, rtol=IDENTITY_RTOL):

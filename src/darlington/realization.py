@@ -28,10 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .checks import _imag_coeff_excess, _quiet
-from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient
+from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient, _quiet
 from .rational import (RationalMatrixFunction, ReconstructionMismatch, _coeffs, _identity_gap,
-                       _negate_argument, _poly1, _sub, _trim)
+                       _imag_coeff_excess, _negate_argument, _poly1, _sub, _trim)
 
 SPLIT_STRUCTURE_RTOL = 1e-7
 SPLIT_IDENTITY_RTOL = 1e-7

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: reports, exit codes, determinism."""
 
+import itertools
 import json
 import warnings
 
@@ -236,6 +237,37 @@ def test_check_seed_zero_draws_entropy(neg_inv, capsys):
     _, a = run(capsys, ["check", neg_inv, "--class", "nevanlinna", "--seed", "0"] + FAST)
     _, b = run(capsys, ["check", neg_inv, "--class", "nevanlinna", "--seed", "0"] + FAST)
     assert a["seed"] != b["seed"]
+
+
+# each option with a value main accepts, and each command's options as
+# README documents them
+OPTIONS = {"--seed": ["7"], "--samples": ["60"], "--box-radius": ["10"],
+           "--imag-floor": ["0.01"], "--no-edge-points": [], "--psd-slack": ["1e-8"],
+           "--reality-slack": ["1e-8"], "--den-floor": ["1e-12"], "--class": ["nevanlinna"],
+           "--real": [], "--at": ["1j"]}
+SAMPLING_OPTIONS = {"--seed", "--samples", "--box-radius", "--imag-floor", "--no-edge-points",
+                    "--psd-slack", "--reality-slack", "--den-floor"}
+DOCUMENTED = {"lift": set(), "verify": SAMPLING_OPTIONS, "check": SAMPLING_OPTIONS | {"--class"},
+              "stable": SAMPLING_OPTIONS | {"--real"}, "realize1d": SAMPLING_OPTIONS,
+              "eval": {"--den-floor", "--at"}}
+REQUIRED = {"check": ["--class", "nevanlinna"], "eval": ["--at", "1j"]}
+
+
+@pytest.mark.parametrize("command, option", list(itertools.product(DOCUMENTED, OPTIONS)))
+def test_each_command_takes_exactly_its_documented_options(tmp_path, capsys, command, option):
+    # on a missing file, the parser refuses an option the command does not
+    # take, and an option it takes gets as far as reading the file
+    missing = str(tmp_path / "missing.json")
+    try:
+        code = main([command, missing, *REQUIRED.get(command, []), option, *OPTIONS[option]])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    if option in DOCUMENTED[command]:
+        assert err.startswith("error: cannot read %s" % missing), err
+    else:
+        assert err.startswith(("darlington: error: ", "darlington %s: error: " % command)), err
 
 
 # ----------------------------------------------------------------------

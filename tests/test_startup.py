@@ -66,6 +66,21 @@ def test_bad_coordinates_are_refused_before_the_file_is_read(tmp_path):
     assert proc.stdout == "False None None None\n"
 
 
+def test_bad_seed_variable_loads_no_numpy(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    proc = python(RUN_MAIN, "check", missing, "--class", "nevanlinna", DARLINGTON_SEED="x")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: DARLINGTON_SEED must be an integer, got 'x'\n"
+    assert proc.stdout == "False None None None\n"
+
+
+def test_realization_loads_no_checks():
+    proc = python("import sys, darlington.realization; loaded = [m for m in "
+                  "('darlington.checks', 'darlington.lift', 'darlington.fileio') "
+                  "if m in sys.modules]; assert not loaded, loaded")
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("first", ["importlib.import_module('darlington.lift')",
                                    "import darlington.checks"])
 def test_submodule_import_keeps_the_lift_function(first):
