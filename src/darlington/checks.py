@@ -339,18 +339,38 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     return Z, vals[:, 0], iterations
 
 
+def _lifted_roots(c, floor):
+    """The roots of ``sum_k c[k] z^(n-k)``, each lifted onto the imaginary
+    floor the descent clips to, ``Re r + i max(Im r, floor)``: an (r, 1)
+    array.  Leading zeros are dropped first, and so is each leading
+    coefficient that a later one exceeds by a factor beyond the largest
+    double, as np.roots's companion matrix would overflow: the roots it
+    stands for lie where z^n overflows too, so p could not be valued there.
+    With every coefficient but the last dropped, there is no root.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratios = c / c[:, None]     # [j, k]: c_k / c_j
+    first = ((c != 0) & np.isfinite(np.triu(ratios, 1)).all(axis=1)).argmax()
+    r = np.roots(c[first:])
+    return (r.real + 1j * np.maximum(r.imag, floor))[:, None]
+
+
 def _hunt(d, keys, table, jobs, tols):
     """Reports for the polynomials in d variables whose coefficients at
     ``keys`` are the rows of the (G, T) ``table``: row i's report is named
     ``check`` for ``jobs[i] = (check, cfg, real)``.
 
     A ``real`` row with non-real coefficients gets _non_real_report; a zero
-    row fails; a row in 0 variables is a constant, and inconclusive.  Every
-    other row draws its own upper points from cfg's seed and descends from
-    the 20 where it is smallest; all of them descend together in one
-    ``_descend_to_zero`` call, on a basis of every key.  A key that a row
-    lacks weighs 0 in it, so the report of a row does not depend on the
-    other rows of the table.
+    row fails; a row in 0 variables is a constant, and inconclusive.  In one
+    variable every other row's candidates are its own roots, lifted onto
+    its floor (``_lifted_roots``), and the one of smallest |p| decides: no
+    point is drawn and nothing descends.  A row with no root is a constant
+    c as far as floating point goes, and |p| = |c| = max|coeff|.  In d >= 2
+    variables every other row draws its own upper points from cfg's seed
+    and descends from the 20 where it is smallest; all of them descend
+    together in one ``_descend_to_zero`` call, on a basis of every key.  A
+    key that a row lacks weighs 0 in it, so the report of a row does not
+    depend on the other rows of the table.
     """
     tolerances = tols.to_dict()
 
@@ -377,21 +397,33 @@ def _hunt(d, keys, table, jobs, tols):
     # coeffs[g, j]: the g-th hunted row's coefficient at the j-th term of basis's plan
     coeffs = table[np.ix_(hunted, basis._grlex_order())]
     cfgs = [jobs[i][1] for i in hunted]
-    pts = [upper_points(cfg, np.random.default_rng(cfg.seed), d) for cfg in cfgs]
-    sizes = [len(x) for x in pts]
-    vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0)[:, None], np.vstack(pts))[:, 0])
-    starts = [x[np.argsort(v)[:20]] for x, v in zip(pts, np.split(vals, np.cumsum(sizes)[:-1]))]
-    owner = np.repeat(np.arange(len(hunted)), [len(x) for x in starts])
     floor = np.array([cfg.imag_floor * 0.5 for cfg in cfgs])
+    if d == 1:
+        exps = np.array(keys)[:, 0]
+        dense = np.zeros((len(hunted), exps.max() + 1), dtype=np.complex128)
+        dense[:, exps.max() - exps] = table[hunted]    # highest power first
+        pts = [_lifted_roots(c, fl) for c, fl in zip(dense, floor)]
+    else:
+        pts = [upper_points(cfg, np.random.default_rng(cfg.seed), d) for cfg in cfgs]
+    sizes = [len(x) for x in pts]
+    Z = np.vstack(pts)
+    vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0)[:, None], Z)[:, 0])
     scale = np.abs(coeffs).max(axis=1)
-    Z, best, iterations = _descend_to_zero(basis, coeffs, owner, np.vstack(starts), floor,
-                                           RETIRE_RTOL * scale[owner])
+    if d == 1:
+        # the candidates decide as they are; one whose value overflowed never does
+        owner = np.repeat(np.arange(len(hunted)), sizes)
+        best, iterations = np.fmin(vals, np.inf), np.zeros(len(hunted), int)
+    else:
+        starts = [x[np.argsort(v)[:20]] for x, v in zip(pts, np.split(vals, np.cumsum(sizes)[:-1]))]
+        owner = np.repeat(np.arange(len(hunted)), [len(x) for x in starts])
+        Z, best, iterations = _descend_to_zero(basis, coeffs, owner, np.vstack(starts), floor,
+                                               RETIRE_RTOL * scale[owner])
 
     for g, i in enumerate(hunted):
         check, cfg, _ = jobs[i]
         rows = np.flatnonzero(owner == g)
-        k = rows[int(np.argmin(np.abs(best[rows])))]
-        best_val = abs(best[k])
+        k = rows[int(np.argmin(np.abs(best[rows])))] if len(rows) else None
+        best_val = scale[g] if k is None else abs(best[k])
         margin = float(best_val - ROOT_ABS_RTOL * scale[g])
         info = details(refined_abs_value=_json_float(best_val),
                        descent_iterations=int(iterations[g]))
@@ -519,8 +551,8 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     """Probe the equivalence between combined-zero freeness, pencil
     real-stability and member real-stability for a real pair (p, q).
 
-    The combined polynomial and the members are hunted in one batched
-    descent, each with its own seed and point set, as rows of one table
+    The combined polynomial and the members are hunted in one ``_hunt``
+    batch, each with its own seed and point set, as rows of one table
     aligned on p's keys, then q's new ones.  A member whose coefficients are
     all at most 1e-14 times the pair's largest is skipped.
     """

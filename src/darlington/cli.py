@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import os
-import secrets
 import sys
 from collections import namedtuple
 from dataclasses import replace
@@ -61,7 +60,11 @@ def _resolve_seed(arg_seed):
         if seed < 0:
             raise ValueError("DARLINGTON_SEED must be >= 0, got %d" % seed)
     seed = DEFAULT_SEED if seed is None else seed
-    return secrets.randbits(63) if seed == 0 else int(seed)
+    if seed == 0:
+        import secrets  # loads hashlib and hmac, which nothing else needs
+
+        return secrets.randbits(63)
+    return int(seed)
 
 
 def _point(at):
@@ -308,7 +311,11 @@ def _dispatch(args, cfg, tols):
 class _Parser(argparse.ArgumentParser):
     """Refuses an argument in one stderr line, "<prog>: error: <message>",
     and exit code 2: no usage block.  The subcommands' parsers are of this
-    class too."""
+    class too.  Options must be spelled in full: a prefix would read an
+    option a command lacks, such as ``--real`` on ``check``, as one it has."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(EXIT_FORMAT, "%s: error: %s\n" % (self.prog, message))

@@ -50,6 +50,12 @@ def one(d):
 FAST = SampleConfig(count=80)
 
 
+def descended(p):
+    """p in two variables when it has one: a one-variable hunt takes its
+    candidates from p's roots, so only d >= 2 reaches the descent."""
+    return p.append_variable() if p.d == 1 else p
+
+
 # ----------------------------------------------------------------------
 # membership checkers
 
@@ -271,6 +277,64 @@ def test_stable_never_passes():
     assert rep.witness is None
 
 
+# members cos(t) p + sin(t) q that lemma11_probe hunted on stability-hunt
+# seed 1, with the sub-seed given and 50 points, which the 20-start descent
+# called inconclusive: each has the upper root given, and a real one
+MISSED_BY_THE_DESCENT = [
+    ({3: -0.9997234521339486, 2: 0.023516361397558465, 1: -0.9997234521339486,
+      0: 0.023516361397558465}, 1j, 2081209994),
+    ({3: 0.9796181257708954, 2: 0.20086893154770918, 1: 0.9796181257708954,
+      0: 0.20086893154770918}, 1j, 512711190),
+    ({3: -0.28510275375911903, 2: 1.031184884831843, 1: -1.759894610270496,
+      0: 1.5807772979997068}, 0.856 + 1.476j, 1875109422),
+    ({3: -0.8650617556912915, 2: 1.5102644143431876, 1: -1.6369862894333307,
+      0: 0.06193872670973026}, 0.853 + 1.048j, 2081209994),
+    ({3: -0.21950868381232763, 2: 0.9308583206480104, 1: -1.6682333813076817,
+      0: 1.617589566993105}, 0.951 + 1.499j, 1780383266),
+]
+
+
+@pytest.mark.parametrize("coeffs, root, seed", MISSED_BY_THE_DESCENT)
+def test_one_variable_hunt_takes_the_upper_root(coeffs, root, seed):
+    p = sp(1, {(k,): c for k, c in coeffs.items()})
+    rep = check_real_stable(p, SampleConfig(seed=seed, count=50))
+    assert rep.verdict == "fail"
+    z = np.array([complex(*xy) for xy in rep.witness["point"]])
+    assert z.imag > 0 and abs(z[0] - root) < 1e-3
+    assert abs(p.evaluate(z)[0, 0]) < checks.ROOT_ABS_RTOL * p.max_coeff_magnitude()
+    # the candidates are the three roots; nothing is sampled or descends
+    assert rep.samples_used == 3 and rep.details["descent_iterations"] == 0
+
+
+def test_one_variable_hunt_without_an_upper_root_is_inconclusive():
+    # (z1 - 1)(z1 + 2)(z1 - 3): the roots, lifted onto the floor, are where
+    # |p| is smallest, and none is below the threshold
+    rep = check_stable(sp(1, {(3,): 1.0, (2,): -2.0, (1,): -5.0, (0,): 6.0}), FAST)
+    assert rep.verdict == "inconclusive" and rep.witness is None
+    assert 0.0 < rep.worst_margin < np.inf and rep.samples_used == 3
+    assert rep.worst_margin == rep.details["refined_abs_value"] - 6e-10
+
+
+def test_one_variable_candidate_whose_value_overflows_never_decides():
+    # (z1 - 1e200)(z1 - 1e-100): at the root 1e200, z1^2 overflows and p
+    # values to inf - inf = NaN; the other root, lifted onto the floor, decides
+    rep = check_stable(sp(1, {(2,): 1.0, (1,): -1e200, (0,): 1e100}), FAST)
+    assert rep.verdict == "inconclusive" and rep.samples_used == 2
+    assert rep.details["refined_abs_value"] == pytest.approx(5e196)
+
+
+@pytest.mark.parametrize("terms", [{(2,): 5e-324, (0,): 1.0}, {(0,): 1.0}])
+def test_one_variable_hunt_without_a_root_values_the_constant(terms):
+    # 5e-324 z1^2 + 1 would overflow np.roots's companion matrix: its
+    # leading coefficient is dropped, which leaves the constant 1, as for
+    # the polynomial 1 itself.  Neither has a root to value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_stable(sp(1, terms), FAST)
+    assert (rep.verdict, rep.samples_used, rep.worst_margin) == ("inconclusive", 0, 1.0 - 1e-10)
+    assert rep.details["refined_abs_value"] == 1.0
+
+
 def test_stable_zero_polynomial_fails():
     rep = check_stable(MatrixPoly.zero(1), FAST)
     assert rep.verdict == "fail"
@@ -488,10 +552,12 @@ def test_batched_descent_matches_reference():
     # is found to 1e-9.  A fail stops once a row is below RETIRE_RTOL, where
     # the reference runs on, so the two may end on different zeros of the
     # same variety: the witness must re-evaluate as a zero instead.  With the
-    # plain gradient only the verdicts are compared
+    # plain gradient only the verdicts are compared.  One-variable pairs are
+    # hunted in two variables, where the hunt descends
     polys = []
     for case in pair_cases():
-        p, q, d = case.p, case.q, case.p.d
+        p, q = descended(case.p), descended(case.q)
+        d = p.d
         polys += [p + q.scaled(1j),
                   p.append_variable() + MatrixPoly.variable(d + 1, d) * q.append_variable(),
                   p.scaled(0.6) + q.scaled(-0.8)]
@@ -620,7 +686,7 @@ def test_descent_makes_at_most_two_monomials_passes_per_iteration(monkeypatch):
     # reference makes one per try
     def run():
         for case in pair_cases()[:4]:
-            lemma11_probe(case.p, case.q, FAST, members=10)
+            lemma11_probe(descended(case.p), descended(case.q), FAST, members=10)
         check_stable(sp(2, {(1, 0): 1.0, (0, 1): -1.0}), FAST)
 
     captured = capture_descents(monkeypatch, run)
@@ -652,13 +718,13 @@ def test_rows_whose_full_step_stays_put_skip_the_halvings(monkeypatch):
     # floor, or a zero step) lands there at every halving, so the row retires
     # without the halvings batch.  Every row is valued once per iteration for
     # the full step, and seven times for the halvings if it moved but did not
-    # improve.  The hunts of z1^4 and z1^9 improve at every full step; the
-    # corpus hunts have rows that stay put.
+    # improve.  The hunts of z1^4 and z1^9 (in two variables) improve at
+    # every full step; the corpus hunts have rows that stay put.
     def run():
-        for p in (sp(1, {(4,): 1.0}), sp(1, {(9,): 1.0})):
+        for p in (sp(2, {(4, 0): 1.0}), sp(2, {(9, 0): 1.0})):
             check_stable(p, FAST)
         for case in pair_cases():
-            check_stable(case.p + case.q.scaled(1j), FAST)
+            check_stable(descended(case.p) + descended(case.q).scaled(1j), FAST)
 
     captured = capture_descents(monkeypatch, run)
     rows, values = [0], checks._values
@@ -690,7 +756,8 @@ def test_halvings_batch_takes_the_first_improving_halving(monkeypatch):
     # every further _values call gives NaN, so the descent stops at the point
     # that batch gave it
     case = next(case for case in pair_cases() if case.name == "planted-factor-1var")
-    captured = capture_descents(monkeypatch, lambda: check_stable(case.p + case.q.scaled(1j), FAST))
+    combined = descended(case.p) + descended(case.q).scaled(1j)
+    captured = capture_descents(monkeypatch, lambda: check_stable(combined, FAST))
     values = checks._values
     state = {}
 
@@ -762,14 +829,14 @@ def run_both_descents(monkeypatch):
 def corpus_descents():
     with pytest.MonkeyPatch.context() as mp:
         runs = run_both_descents(mp)
-        hunt_pairs([(case.p, case.q) for case in pair_cases()])
+        hunt_pairs([(descended(case.p), descended(case.q)) for case in pair_cases()])
     return runs
 
 
 def test_descent_matches_loop_reference_bit_for_bit(monkeypatch, corpus_descents):
     runs = run_both_descents(monkeypatch)
-    hunt_pairs([(sp(1, {(9,): 1e300}), one(1))])
-    for p in (sp(1, {(4,): 1.0}), sp(1, {(9,): 1.0})):
+    hunt_pairs([(sp(2, {(9, 0): 1e300}), one(2))])
+    for p in (sp(2, {(4, 0): 1.0}), sp(2, {(9, 0): 1.0})):
         check_stable(p, FAST)
     for got, want, _, _ in corpus_descents + runs:
         for a, b in zip(got, want):
@@ -848,15 +915,12 @@ def test_no_iteration_runs_once_every_polynomial_is_settled(monkeypatch):
     assert all_settled
 
 
-def test_descent_iterations_do_not_depend_on_the_batch():
-    # hunted together or alone, a polynomial gets the same report, its
-    # descent_iterations included: the batch's shared basis only adds terms
-    # of weight 0, which keep the order of the others and add exact zeros
-    pairs = [(case.p, case.q) for case in pair_cases() if not case.q.is_zero()]
-    pairs += [(p, q) for p, q, _ in planted_pairs(1)]
-    counts = set()
+def batched_and_alone(pairs):
+    """For each pair, the combined polynomial and four members, as
+    lemma11_probe batches them: each one's report from the batch and its
+    report hunted alone."""
+    out = []
     for p, q in pairs:
-        # the combined polynomial and four members, as lemma11_probe batches them
         polys, jobs = [p + q.scaled(1j)], [("combined-stable", FAST, False)]
         for k, theta in enumerate(np.linspace(0.3, 2.8, 4)):
             polys.append(p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta))))
@@ -866,9 +930,36 @@ def test_descent_iterations_do_not_depend_on_the_batch():
         for poly, job, rep in zip(polys, jobs, batched):
             alone = checks._hunt(p.d, list(poly.terms), poly._coeffs[None, :, 0, 0], [job],
                                  Tolerances())[0]
-            assert alone.to_dict() == rep.to_dict()
-            counts.add(rep.details["descent_iterations"])
+            out.append((rep.to_dict(), alone.to_dict()))
+    return out
+
+
+def test_descent_iterations_do_not_depend_on_the_batch():
+    # hunted together or alone, a polynomial gets the same report, its
+    # descent_iterations included: the batch's shared basis only adds terms
+    # of weight 0, which keep the order of the others and add exact zeros.
+    # One-variable pairs are hunted in two variables, where the hunt descends
+    pairs = [(descended(case.p), descended(case.q)) for case in pair_cases()
+             if not case.q.is_zero()]
+    pairs += [(descended(p), descended(q)) for p, q, _ in planted_pairs(1)]
+    counts = set()
+    for batched, alone in batched_and_alone(pairs):
+        assert alone == batched
+        counts.add(batched["details"]["descent_iterations"])
     assert len(counts) > 5
+
+
+def test_root_candidates_do_not_depend_on_the_batch():
+    # the one-variable rows of the test above, hunted from their roots: each
+    # row's roots are its own, and its candidates are valued on the shared
+    # basis, whose extra terms weigh 0
+    pairs = [(case.p, case.q) for case in pair_cases() if not case.q.is_zero()]
+    pairs += [(p, q) for p, q, _ in planted_pairs(1)]
+    reports = batched_and_alone([(p, q) for p, q in pairs if p.d == 1])
+    for batched, alone in reports:
+        assert alone == batched
+        assert batched["details"]["descent_iterations"] == 0
+    assert {rep["verdict"] for rep, _ in reports} == {"fail", "inconclusive"}
 
 
 def test_every_hunted_fail_re_evaluates_below_the_threshold():

@@ -251,15 +251,22 @@ DOCUMENTED = {"lift": set(), "verify": SAMPLING_OPTIONS, "check": SAMPLING_OPTIO
               "stable": SAMPLING_OPTIONS | {"--real"}, "realize1d": SAMPLING_OPTIONS,
               "eval": {"--den-floor", "--at"}}
 REQUIRED = {"check": ["--class", "nevanlinna"], "eval": ["--at", "1j"]}
+# options must be written in full: each prefix below names an option of
+# some command, and --real=1 would read as --reality-slack=1 on check
+ABBREVIATED = {"--se": ["7"], "--samp": ["60"], "--box": ["10"], "--imag": ["0.01"],
+               "--no-edge": [], "--psd": ["1e-8"], "--reality": ["1e-8"], "--den": ["1e-12"],
+               "--cl": ["nevanlinna"], "--real=1": [], "--a": ["1j"], "--out": ["x.json"]}
 
 
-@pytest.mark.parametrize("command, option", list(itertools.product(DOCUMENTED, OPTIONS)))
+@pytest.mark.parametrize("command, option",
+                         list(itertools.product(DOCUMENTED, [*OPTIONS, *ABBREVIATED])))
 def test_each_command_takes_exactly_its_documented_options(tmp_path, capsys, command, option):
     # on a missing file, the parser refuses an option the command does not
     # take, and an option it takes gets as far as reading the file
     missing = str(tmp_path / "missing.json")
+    values = {**OPTIONS, **ABBREVIATED}[option]
     try:
-        code = main([command, missing, *REQUIRED.get(command, []), option, *OPTIONS[option]])
+        code = main([command, missing, *REQUIRED.get(command, []), option, *values])
     except SystemExit as exc:
         code = exc.code
     err = capsys.readouterr().err
@@ -566,8 +573,9 @@ def test_coupling_overflow_exits_2(tmp_path, capsys):
 ])
 def test_overflowing_values_leave_one_stderr_line(tmp_path, capsys, argv, code):
     # 1e300 z1^9 overflows at part of the sample; the checks drop or
-    # outvote those values without a numpy RuntimeWarning on stderr
-    path = poly_file(tmp_path, "ovf.json", sp(1, {(9,): 1e300}))
+    # outvote those values without a numpy RuntimeWarning on stderr.  It is
+    # written in two variables, where stable samples and descends too
+    path = poly_file(tmp_path, "ovf.json", sp(2, {(9, 0): 1e300}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = main([argv[0], path] + argv[1:])
@@ -575,3 +583,17 @@ def test_overflowing_values_leave_one_stderr_line(tmp_path, capsys, argv, code):
     assert got == code
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.out)
+
+
+def test_one_variable_stable_values_only_its_lifted_roots(tmp_path, capsys):
+    # in one variable, stable draws no sample: 1e300 z1^9 is valued only at
+    # its nine roots 0, lifted onto the floor 5e-4 i, where nothing
+    # overflows.  |p| there is 1e300 * (5e-4)^9, below 1e-10 * 1e300: the
+    # same "fail" as z1^9's, with no zero in the upper half-plane
+    path = poly_file(tmp_path, "ovf.json", sp(1, {(9,): 1e300}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run(capsys, ["stable", path])
+    assert code == 1
+    ev = doc["witnesses"]["stable"]
+    assert ev["samples_used"] == 9 and ev["witness"]["point"] == [[0.0, 0.0005]]

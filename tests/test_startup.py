@@ -74,6 +74,29 @@ def test_bad_seed_variable_loads_no_numpy(tmp_path):
     assert proc.stdout == "False None None None\n"
 
 
+# runs main on argv after checking that importing the command line did not
+# load secrets, then prints whether main did
+SECRETS = """
+import sys
+from darlington.cli import main
+assert "secrets" not in sys.modules
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print("secrets" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [(["--samples", "0"], False), (["--seed", "0"], True)])
+def test_only_seed_zero_loads_secrets(tmp_path, argv, loaded):
+    # secrets brings hashlib and hmac; only the OS entropy of --seed 0 needs it
+    proc = python(SECRETS, "check", str(tmp_path / "missing.json"), "--class", "nevanlinna",
+                  *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "%s\n" % loaded
+
+
 def test_realization_loads_no_checks():
     proc = python("import sys, darlington.realization; loaded = [m for m in "
                   "('darlington.checks', 'darlington.lift', 'darlington.fileio') "
