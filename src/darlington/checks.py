@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,9 @@ ROOT_ABS_RTOL = 1e-10
 # differently from the descent
 RETIRE_RTOL = 1e-12
 CAYLEY_COND_LIMIT = 1e12
+# point sets kept by _points; at the default count, one set in d variables
+# holds 230 * d complex numbers, 3.7 kB per variable
+POINT_CACHE_SIZE = 128
 
 
 class SingularCayley(ArithmeticError):
@@ -37,9 +41,8 @@ class SingularCayley(ArithmeticError):
 
 
 def _setup(config, tolerances):
-    """Defaults for omitted arguments, and the generator seeded from the config."""
-    cfg = config or SampleConfig()
-    return cfg, tolerances or Tolerances(), np.random.default_rng(cfg.seed)
+    """Defaults for omitted arguments."""
+    return config or SampleConfig(), tolerances or Tolerances()
 
 
 def _json_float(x):
@@ -91,11 +94,6 @@ def upper_points(cfg, rng, d):
     return np.vstack(blocks)
 
 
-def right_points(cfg, rng, d):
-    """Sample the open right poly-half-plane: the upper one turned by -i."""
-    return -1j * upper_points(cfg, rng, d)
-
-
 def real_points(cfg, rng, d):
     r = cfg.box_radius
     blocks = [rng.uniform(-r, r, (cfg.count, d)) + 0j]
@@ -103,6 +101,23 @@ def real_points(cfg, rng, d):
         signs = rng.integers(0, 2, (10, d)) * 2 - 1
         blocks.append(signs * r + 0j)
     return np.vstack(blocks)
+
+
+def _points(cfg, d, halves):
+    """What a generator seeded with ``cfg.seed`` draws in d variables for the
+    last of ``halves`` after the others: upper_points for "upper", real_points
+    for "real".  Read-only and memoized; the key holds each field's type too,
+    as equal configs with 0.5 and np.float32(0.5) draw different points."""
+    return _drawn(cfg, tuple(map(type, vars(cfg).values())), d, halves)
+
+
+@lru_cache(maxsize=POINT_CACHE_SIZE)
+def _drawn(cfg, types, d, halves):
+    rng = np.random.default_rng(cfg.seed)
+    for half in halves:
+        pts = (upper_points if half == "upper" else real_points)(cfg, rng, d)
+    pts.flags.writeable = False
+    return pts
 
 
 # ----------------------------------------------------------------------
@@ -171,16 +186,16 @@ def _psd_report(name, part, f, pts, cfg, tols):
 @_quiet
 def check_nevanlinna(f, config=None, tolerances=None):
     """Nonnegative imaginary part on the upper poly-half-plane (sampled)."""
-    cfg, tols, rng = _setup(config, tolerances)
-    pts = upper_points(cfg, rng, f.d)
-    return _psd_report("nevanlinna", "imag", f, pts, cfg, tols)
+    cfg, tols = _setup(config, tolerances)
+    return _psd_report("nevanlinna", "imag", f, _points(cfg, f.d, ("upper",)), cfg, tols)
 
 
 @_quiet
 def check_positive_real(f, config=None, tolerances=None):
     """Nonnegative real part on the right poly-half-plane (sampled)."""
-    cfg, tols, rng = _setup(config, tolerances)
-    pts = right_points(cfg, rng, f.d)
+    cfg, tols = _setup(config, tolerances)
+    # the right poly-half-plane is the upper one turned by -i
+    pts = -1j * _points(cfg, f.d, ("upper",))
     return _psd_report("positive-real", "real", f, pts, cfg, tols)
 
 
@@ -215,8 +230,8 @@ def check_cayley_inner(f, config=None, tolerances=None):
     then Hermitian at every real point where it is finite, so no real point
     is drawn.  Otherwise the boundary is sampled too.
     """
-    cfg, tols, rng = _setup(config, tolerances)
-    interior = _psd_report("nevanlinna", "imag", f, upper_points(cfg, rng, f.d), cfg, tols)
+    cfg, tols = _setup(config, tolerances)
+    interior = _psd_report("nevanlinna", "imag", f, _points(cfg, f.d, ("upper",)), cfg, tols)
     inside = replace(interior, check="cayley-inner", witness=interior.witness and dict(
         interior.witness, part="interior-psd"))
     if f.num.has_hermitian_coeffs() and f.den.has_real_coeffs():
@@ -225,7 +240,7 @@ def check_cayley_inner(f, config=None, tolerances=None):
         if "note" in interior.details:  # the interior is inconclusive
             details["note"] = interior.details["note"]
         return replace(inside, details=details)
-    pts = real_points(cfg, rng, f.d)
+    pts = _points(cfg, f.d, ("upper", "real"))
     kept = _boundary_kept(f, pts, tols)
     details = {
         "interior": interior.to_dict(),
@@ -404,7 +419,7 @@ def _hunt(d, keys, table, jobs, tols):
         dense[:, exps.max() - exps] = table[hunted]    # highest power first
         pts = [_lifted_roots(c, fl) for c, fl in zip(dense, floor)]
     else:
-        pts = [upper_points(cfg, np.random.default_rng(cfg.seed), d) for cfg in cfgs]
+        pts = [_points(cfg, d, ("upper",)) for cfg in cfgs]
     sizes = [len(x) for x in pts]
     Z = np.vstack(pts)
     vals = np.abs(_values(basis, np.repeat(coeffs, sizes, axis=0)[:, None], Z)[:, 0])
@@ -457,10 +472,9 @@ def check_stable(p, config=None, tolerances=None):
 
 def _non_real_report(check, p, cfg):
     """The report named ``check`` for a p with non-real coefficients: a fail,
-    or inconclusive when every value at the real points overflows.  The
-    real points are drawn from a generator seeded with ``cfg.seed``."""
+    or inconclusive when every value at the real points overflows."""
     # witness: a real point where the imaginary part is re-evaluably large
-    pts = real_points(cfg, np.random.default_rng(cfg.seed), p.d)
+    pts = _points(cfg, p.d, ("real",))
     kept = _kept(pts, p.evaluate_many(pts), np.ones(len(pts), dtype=bool),
                  lambda vals: (-np.abs(vals[:, 0, 0].imag),))
     return _sampled_report(check, kept, cfg.seed,
@@ -559,7 +573,8 @@ def lemma11_probe(p, q, config=None, tolerances=None, members=50):
     if not _is_int_at_least(members, 0):
         raise ValueError("members must be an integer >= 0, got %r" % (members,))
     p, q = _scalar_pair(p, q, real=True)
-    cfg, tols, rng = _setup(config, tolerances)
+    cfg, tols = _setup(config, tolerances)
+    rng = np.random.default_rng(cfg.seed)
     pencil = pencil_probe(p, q, cfg, tols)
 
     member_cfg_count = max(40, cfg.count // 4)
@@ -591,8 +606,8 @@ def lemma12_probe(p, q, config=None, tolerances=None):
     p, q = _scalar_pair(p, q, real=False)
     if q.is_zero():
         raise ValueError("q must be nonzero to form the ratio p/q")
-    cfg, tols, rng = _setup(config, tolerances)
-    pts = upper_points(cfg, rng, p.d)
+    cfg, tols = _setup(config, tolerances)
+    pts = _points(cfg, p.d, ("upper",))
     kept = _kept(pts, *RationalMatrixFunction(p, q).eval_many(pts, tols.den_floor),
                  lambda vals: (vals[:, 0, 0].imag,))
     details = {"points_drawn": int(len(pts)), "reality_slack": tols.reality_slack}

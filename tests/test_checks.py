@@ -225,15 +225,15 @@ def test_cayley_inner_inconclusive_notes(num, den, tols, note):
     assert rep.details["interior"]["verdict"] == "inconclusive"
 
 
-@pytest.mark.parametrize("check, points", [(check_nevanlinna, upper_points),
-                                           (check_positive_real, checks.right_points)])
-def test_class_checks_keep_every_finite_row(check, points):
+@pytest.mark.parametrize("check, turn", [(check_nevanlinna, 1), (check_positive_real, -1j)],
+                         ids=["check_nevanlinna-upper_points", "check_positive_real-right_points"])
+def test_class_checks_keep_every_finite_row(check, turn):
     # the Hermitian parts of an entry above about 9e307 are finite: halving
     # before adding keeps 1e308 z's every finite value as a sample
     f = RationalMatrixFunction(sp(1, {(1,): 1e308}), one(1))
     cfg = SampleConfig()
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, ok = f.eval_many(points(cfg, np.random.default_rng(cfg.seed), 1))
+        vals, ok = f.eval_many(turn * upper_points(cfg, np.random.default_rng(cfg.seed), 1))
     finite = int((ok & np.isfinite(vals).all(axis=(1, 2))).sum())
     assert finite == 35
     assert check(f, cfg).samples_used == finite
@@ -1043,7 +1043,8 @@ def hunted_table(monkeypatch, p, q, thetas):
 
     with monkeypatch.context() as patch:
         patch.setattr(checks, "_scalar_pair", lambda p, q, real: (p, q))
-        patch.setattr(checks, "_setup", lambda config, tolerances: (FAST, Tolerances(), Angles()))
+        patch.setattr(checks, "_setup", lambda config, tolerances: (FAST, Tolerances()))
+        patch.setattr(np.random, "default_rng", lambda seed: Angles())
         patch.setattr(checks, "_hunt", hunt)
         lemma11_probe(p, q, members=len(thetas))
     return seen[-1]    # the first is pencil_probe's
@@ -1191,15 +1192,13 @@ def test_double_cayley_rejects_singular_pivot():
 
 
 def test_sample_config_shapes():
-    from darlington.checks import real_points, right_points, upper_points
+    from darlington.checks import real_points, upper_points
 
     cfg = SampleConfig(seed=5, count=40)
     rng = np.random.default_rng(cfg.seed)
     pts = upper_points(cfg, rng, 3)
     assert pts.shape == (70, 3)  # 40 interior + 3 stress batches of 10
     assert np.all(pts.imag >= cfg.imag_floor * 1e-3 * 0.999)
-    rng = np.random.default_rng(cfg.seed)
-    assert np.all(right_points(cfg, rng, 2).real > 0.0)
     rng = np.random.default_rng(cfg.seed)
     assert np.all(real_points(cfg, rng, 2).imag == 0.0)
 
@@ -1256,13 +1255,109 @@ def test_sample_config_needs_a_floor_inside_the_box(floor):
         SampleConfig(imag_floor=floor)
 
 
-def test_right_points_are_upper_points_turned():
-    from darlington.checks import right_points, upper_points
-
+def test_right_points_are_upper_points_turned(monkeypatch):
+    # check_positive_real samples the right poly-half-plane as the memoized
+    # upper draw turned by -i, every point with a positive real part
+    seen = []
+    monkeypatch.setattr(checks, "_psd_report", lambda name, part, f, pts, cfg, tols: seen.append(pts))
+    f = RationalMatrixFunction(sp(2, {(1, 0): 1.0}), one(2))
     for cfg in (SampleConfig(seed=7, count=25), SampleConfig(seed=8, include_edge_points=False)):
-        right = right_points(cfg, np.random.default_rng(cfg.seed), 2)
+        check_positive_real(f, cfg)
         upper = upper_points(cfg, np.random.default_rng(cfg.seed), 2)
-        np.testing.assert_array_equal(right, -1j * upper)
+        np.testing.assert_array_equal(seen[-1], -1j * checks._points(cfg, 2, ("upper",)))
+        np.testing.assert_array_equal(seen[-1], -1j * upper)
+        assert np.all(seen[-1].real > 0.0)
+
+
+# ----------------------------------------------------------------------
+# the memoized point sampler
+
+
+def sampled_entry_points():
+    """(name, call) for every entry point that draws sample points."""
+    hermitian = RationalMatrixFunction(
+        MatrixPoly(1, 2, {(1,): np.array([[2.0, 1.0], [1.0, 3.0]]),
+                          (0,): np.array([[1.0, 2j], [-2j, 0.5]])}), one(1))
+    times_i = RationalMatrixFunction(sp(1, {(0,): -1j}), sp(1, {(1,): 1j}))
+    shifted = RationalMatrixFunction(sp(1, {(1,): 1.0, (0,): 1j}), one(1))
+    two = RationalMatrixFunction(sp(2, {(1, 0): -1.0, (0, 1): 0.5}), one(2))
+    upper_zero = sp(2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1j})
+    no_zero = sp(2, {(1, 0): 1.0, (0, 1): 1.0, (0, 0): 1j})
+    p, q = sp(2, {(2, 0): 1.0, (0, 1): -1.0}), sp(2, {(1, 0): 1.0, (0, 0): 0.5})
+    return [
+        ("nevanlinna", lambda: check_nevanlinna(two, FAST)),
+        ("positive-real", lambda: check_positive_real(two, FAST)),
+        ("cayley-inner-exact", lambda: check_cayley_inner(hermitian, FAST)),
+        ("cayley-inner-sampled", lambda: check_cayley_inner(times_i, FAST)),
+        ("cayley-inner-fail", lambda: check_cayley_inner(shifted, FAST)),
+        ("stable-d2-fail", lambda: check_stable(upper_zero, FAST)),
+        ("stable-d2-inconclusive", lambda: check_stable(no_zero, FAST)),
+        ("real-stable-non-real", lambda: check_real_stable(no_zero, FAST)),
+        ("pencil", lambda: pencil_probe(p, q, FAST)),
+        ("lemma11", lambda: lemma11_probe(p, q, FAST, members=6)),
+        ("lemma12", lambda: lemma12_probe(p, q, FAST)),
+    ]
+
+
+def report_bytes(out):
+    return json.dumps(out.to_dict(), sort_keys=True).encode()
+
+
+def test_each_sampled_entry_point_reports_the_same_bytes_cold_warm_and_uncached(monkeypatch):
+    # the memo hands back what a fresh generator draws, so a report does
+    # not depend on whether its points were drawn before
+    for name, call in sampled_entry_points():
+        checks._drawn.cache_clear()
+        cold = report_bytes(call())
+        info = checks._drawn.cache_info()
+        assert info.misses > 0, name
+        assert report_bytes(call()) == cold, name
+        assert checks._drawn.cache_info().hits > info.hits, name
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_drawn", checks._drawn.__wrapped__)
+            assert report_bytes(call()) == cold, name
+
+
+def test_memoized_points_are_a_fresh_draw_and_refuse_writes():
+    cfg = SampleConfig(seed=11, count=30)
+    for d in (1, 3):
+        upper = checks._points(cfg, d, ("upper",))
+        rng = np.random.default_rng(cfg.seed)
+        np.testing.assert_array_equal(upper, upper_points(cfg, rng, d))
+        np.testing.assert_array_equal(checks._points(cfg, d, ("upper", "real")),
+                                      checks.real_points(cfg, rng, d))
+        np.testing.assert_array_equal(checks._points(cfg, d, ("real",)), checks.real_points(
+            cfg, np.random.default_rng(cfg.seed), d))
+        for halves in (("upper",), ("real",), ("upper", "real")):
+            pts = checks._points(cfg, d, halves)
+            assert pts is checks._points(cfg, d, halves)
+            with pytest.raises(ValueError, match="read-only"):
+                pts[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("field, value", [("imag_floor", 0.5), ("box_radius", 5.0)])
+def test_equal_configs_of_other_field_types_draw_their_own_points(field, value):
+    # np.float32(0.5) == 0.5, and the configs compare and hash equal, but the
+    # float32 field draws other points: neither may be handed the other's
+    double = SampleConfig(count=20, **{field: value})
+    single = SampleConfig(count=20, **{field: np.float32(value)})
+    assert double == single and hash(double) == hash(single)
+    # (a dict keyed by the configs would hold one entry, not two)
+    fresh = [upper_points(cfg, np.random.default_rng(cfg.seed), 2) for cfg in (double, single)]
+    assert not np.array_equal(*fresh)
+    for order in ((0, 1), (1, 0)):
+        checks._drawn.cache_clear()
+        for k in order:
+            np.testing.assert_array_equal(checks._points((double, single)[k], 2, ("upper",)),
+                                          fresh[k])
+        assert checks._drawn.cache_info().misses == 2
+
+
+def test_point_cache_is_bounded():
+    checks._drawn.cache_clear()
+    for seed in range(1, 1001):
+        checks._points(SampleConfig(seed=seed, count=1, include_edge_points=False), 1, ("upper",))
+    assert checks._drawn.cache_info().currsize == checks.POINT_CACHE_SIZE < 1000
 
 
 @pytest.mark.parametrize("field", ["psd_slack", "reality_slack", "den_floor"])

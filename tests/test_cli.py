@@ -102,8 +102,30 @@ def test_verify_passes_and_reports(neg_inv, capsys):
         "lift-cayley-inner": "pass",
     }
     ev = doc["witnesses"]["lift-cayley-inner"]
-    assert set(ev) == {"verdict", "worst_margin", "samples_used", "witness"}
+    assert set(ev) == {"verdict", "worst_margin", "samples_used", "witness", "boundary"}
     assert ev["witness"] is None
+
+
+def test_evidence_says_how_the_boundary_was_decided_and_why_it_is_inconclusive(
+        neg_inv, tmp_path, capsys):
+    # a lift's boundary is exact; -i/(i z1) has its boundary sampled, and its
+    # evidence names no boundary.  An inconclusive report carries its note;
+    # the other evidence keeps exactly its four keys
+    from darlington.checks import EXACT_BOUNDARY
+
+    _, doc = run(capsys, ["verify", neg_inv] + FAST)
+    assert doc["witnesses"]["lift-cayley-inner"]["boundary"] == EXACT_BOUNDARY
+    assert set(doc["witnesses"]["input-nevanlinna"]) == {
+        "verdict", "worst_margin", "samples_used", "witness"}
+    times_i = RationalMatrixFunction(sp(1, {(0,): -1j}), sp(1, {(1,): 1j}))
+    code, doc = run(capsys, ["check", write(tmp_path, "times-i.json", times_i, "nevanlinna"),
+                             "--class", "cayley-inner"] + FAST)
+    assert code == 0 and set(doc["witnesses"]["cayley-inner"]) == {
+        "verdict", "worst_margin", "samples_used", "witness"}
+    path = poly_file(tmp_path, "fine.json", sp(2, {(1, 0): 1.0, (0, 1): 1.0}))
+    code, doc = run(capsys, ["stable", path] + FAST)
+    assert code == 6
+    assert doc["witnesses"]["stable"]["note"] == "no zero found; sampling cannot prove stability"
 
 
 def test_verify_is_byte_deterministic(neg_inv, tmp_path, capsys):
