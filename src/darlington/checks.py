@@ -30,6 +30,10 @@ ROOT_ABS_RTOL = 1e-10
 # witness keeps that much room under MatrixPoly.evaluate, which rounds
 # differently from the descent
 RETIRE_RTOL = 1e-12
+# a descending row retires once its last FORECAST_WINDOW steps forecast that
+# it stays above FORECAST_MARGIN times the fail threshold (_on_course)
+FORECAST_WINDOW = 3
+FORECAST_MARGIN = 1e3
 CAYLEY_COND_LIMIT = 1e12
 # point sets kept by _points; at the default count, one set in d variables
 # holds 230 * d complex numbers, 3.7 kB per variable
@@ -277,6 +281,23 @@ def _values(basis, weights, Z):
     return np.einsum("njt,tn->nj", weights, basis.monomials(Z))
 
 
+def _on_course(av, ratios, it, reach):
+    """Whether each row, at |p| = ``av`` after its step in iteration ``it``,
+    is forecast to reach ``reach`` by iteration 50.  Each of the n = 50 - it
+    steps left is forecast to shrink |p| by r, the smallest of the row's last
+    FORECAST_WINDOW ratios |p_new|/|p_old| (``ratios[:, i % FORECAST_WINDOW]``
+    is the one of iteration i), and the k-th of them by a further g**k, with
+    ``g = min(1, newest ratio / the one before)``: |p| ends near
+    ``av * r**n * g**(n (n + 1) / 2)``.  Near an m-fold zero the ratios settle
+    near (m - 1)/m and g near 1; a start that leaves a plateau for a zero's
+    basin speeds up, and g keeps it going.  A ratio not yet taken counts as 0.
+    """
+    n = 50 - it
+    new, old = ratios[:, it % FORECAST_WINDOW], ratios[:, (it - 1) % FORECAST_WINDOW]
+    gain = np.minimum(1.0, new / np.where(old > 0, old, 1.0))
+    return av * ratios.min(axis=1) ** n * gain ** (n * (n + 1) // 2) <= reach
+
+
 def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     """Damped Gauss-Newton on |p|^2, batched over rows of (polynomial, start).
 
@@ -294,7 +315,10 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     because its next one would repeat it; retired rows carry a zero step.
     A polynomial settles once any of its rows has |p| below ``level[r]``
     (one level for all rows of a polynomial), tested on the starts and after
-    each iteration: every row of it retires then.  All stop after 50
+    each iteration: every row of it retires then.  A row that accepts a
+    step also retires on its new point when ``_on_course`` says that its
+    recent rate cannot bring it within ``FORECAST_MARGIN`` times the fail
+    threshold ``ROOT_ABS_RTOL * max|coeff|`` by the cap.  All stop after 50
     iterations.  Each row keeps the last iteration in which it was active;
     after the loop these reduce to one count per polynomial.  Returns the
     final rows, their values, and per polynomial the number of iterations in
@@ -302,6 +326,7 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     """
     W = coeffs[:, None] * np.array([(1,) + e for e, _ in basis.ordered_terms()]).T
     w, fl = W[owner], floor[owner, None]
+    reach = FORECAST_MARGIN * ROOT_ABS_RTOL * np.abs(coeffs).max(axis=1)[owner]
     t = 0.5 ** np.arange(8)[:, None, None]    # step sizes 1, 1/2, ..., 1/128
     Z = Z.copy()
     vals = _values(basis, w, Z)
@@ -309,6 +334,9 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     active = np.ones(len(Z), dtype=bool)
     settled = np.zeros(len(coeffs), dtype=bool)
     alive = np.zeros(len(Z), dtype=np.int64)
+    # ratios[r, i % FORECAST_WINDOW]: row r's ratio in iteration i; every
+    # row still active has accepted a step in every iteration so far
+    ratios = np.zeros((len(Z), FORECAST_WINDOW))
     for it in range(1, 51):
         # only rows accepted since the last test can have newly dropped below
         below = active & (av < level)
@@ -318,6 +346,7 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
         if not active.any():
             break
         alive[active] = it
+        before = av.copy()
         G = vals[:, 1:] / Z
         gn2 = (np.abs(G) ** 2).sum(axis=1)
         safe = active & (gn2 > 1e-300)
@@ -339,16 +368,22 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
         active = better
         if len(h):
             h = h[(cand[h] != Z[h]).any(axis=1)]
-        if not len(h):
-            continue
-        cand = Z[h] + t[1:] * step[h]
-        np.maximum(cand.imag, fl[h], out=cand.imag)
-        cv = _values(basis, w[np.tile(h, 7)], cand.reshape(-1, Z.shape[1])).reshape(7, len(h), -1)
-        acv = np.abs(cv[:, :, 0])
-        better = acv < av[h]
-        first, took = better.argmax(axis=0), better.any(axis=0)
-        h, first, k = h[took], first[took], np.flatnonzero(took)
-        Z[h], vals[h], av[h], active[h] = cand[first, k], cv[first, k], acv[first, k], True
+        if len(h):
+            cand = Z[h] + t[1:] * step[h]
+            np.maximum(cand.imag, fl[h], out=cand.imag)
+            cv = _values(basis, w[np.tile(h, 7)],
+                         cand.reshape(-1, Z.shape[1])).reshape(7, len(h), -1)
+            acv = np.abs(cv[:, :, 0])
+            better = acv < av[h]
+            first, took = better.argmax(axis=0), better.any(axis=0)
+            h, first, k = h[took], first[took], np.flatnonzero(took)
+            Z[h], vals[h], av[h], active[h] = cand[first, k], cv[first, k], acv[first, k], True
+        # the accepted rows, each with a finite |p| below the one before;
+        # none is off course before it has FORECAST_WINDOW ratios
+        a = np.flatnonzero(active)
+        ratios[a, it % FORECAST_WINDOW] = av[a] / before[a]
+        if it >= FORECAST_WINDOW:
+            active[a] = _on_course(av[a], ratios[a], it, reach[a])
     iterations = np.zeros(len(coeffs), dtype=np.int64)
     np.maximum.at(iterations, owner, alive)
     return Z, vals[:, 0], iterations
@@ -384,8 +419,12 @@ def _hunt(d, keys, table, jobs, tols):
     variables every other row draws its own upper points from cfg's seed
     and descends from the 20 where it is smallest; all of them descend
     together in one ``_descend_to_zero`` call, on a basis of every key.  A
-    key that a row lacks weighs 0 in it, so the report of a row does not
-    depend on the other rows of the table.
+    start stops once its polynomial settles below RETIRE_RTOL, its line
+    search fails, or its own rate cannot bring it near the fail threshold by
+    the cap (``_on_course``); ``descent_iterations`` counts the iterations
+    in which any start of the row still descended.  A key that a row lacks
+    weighs 0 in it, so the report of a row does not depend on the other rows
+    of the table.
     """
     tolerances = tols.to_dict()
 

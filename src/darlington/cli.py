@@ -88,10 +88,12 @@ def _margin(rep):
 
 def _evidence(rep):
     """A sampled report's verdict, margin, samples and witness, and the
-    "boundary" and "note" of its details when it has them."""
+    "boundary", "note" and "descent_iterations" of its details when it has
+    them."""
     report = rep.to_dict()
     evidence = {k: report[k] for k in ("verdict", "worst_margin", "samples_used", "witness")}
-    evidence.update((k, v) for k, v in report["details"].items() if k in ("boundary", "note"))
+    evidence.update((k, v) for k, v in report["details"].items()
+                    if k in ("boundary", "note", "descent_iterations"))
     return evidence
 
 

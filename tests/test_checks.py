@@ -508,19 +508,36 @@ def test_lemma11_member_witness_carries_angle():
     assert "theta" in probe.member_witness
 
 
+def on_course(absval, ratios, it, reach):
+    """The descent's forecast, restated: after iteration ``it``, |p| times
+    the smallest ratio to the power of the n iterations left, times the gain
+    min(1, newest ratio / the one before) to the power n (n + 1) / 2, is at
+    most ``reach``."""
+    n = 50 - it
+    new = ratios[:, it % checks.FORECAST_WINDOW]
+    old = ratios[:, (it - 1) % checks.FORECAST_WINDOW]
+    gain = np.minimum(1.0, new / np.where(old > 0, old, 1.0))
+    return absval * ratios.min(axis=1) ** n * gain ** (n * (n + 1) // 2) <= reach
+
+
 def descent_reference(p, cfg, euler=True):
     """check_stable's zero hunt as one descent per polynomial, with the
     gradient from differentiate(): the loop the batched descent replaced,
     kept as its reference.  With ``euler`` the gradient is taken in the
-    batched descent's form, ``(z_k dp/dz_k) / z_k``.  Returns the best point
-    and value."""
+    batched descent's form, ``(z_k dp/dz_k) / z_k``.  A start that improves
+    stays live only while it is ``on_course``, as in the batched descent.
+    Returns the best point and value."""
     pts = upper_points(cfg, np.random.default_rng(cfg.seed), p.d)
     Z = pts[np.argsort(np.abs(p.evaluate_many(pts)[:, 0, 0]))[:20]]
     grads = [p.differentiate(k) for k in range(p.d)]
     if euler:
         grads = [MatrixPoly.variable(p.d, k) * g for k, g in enumerate(grads)]
     vals = p.evaluate_many(Z)[:, 0, 0]
-    for _ in range(50):
+    reach = checks.FORECAST_MARGIN * checks.ROOT_ABS_RTOL * p.max_coeff_magnitude()
+    live = np.ones(len(Z), dtype=bool)
+    ratios = np.zeros((len(Z), checks.FORECAST_WINDOW))
+    for it in range(1, 51):
+        before = np.abs(vals)
         G = np.stack([g.evaluate_many(Z)[:, 0, 0] for g in grads], axis=1)
         if euler:
             G = G / Z
@@ -534,7 +551,7 @@ def descent_reference(p, cfg, euler=True):
             cand = Z + t[:, None] * step
             cand = cand.real + 1j * np.maximum(cand.imag, cfg.imag_floor * 0.5)
             cv = p.evaluate_many(cand)[:, 0, 0]
-            better = (np.abs(cv) < np.abs(vals)) & ~improved
+            better = (np.abs(cv) < np.abs(vals)) & live & ~improved
             Z[better], vals[better] = cand[better], cv[better]
             improved |= better
             t = np.where(improved, t, t * 0.5)
@@ -542,6 +559,9 @@ def descent_reference(p, cfg, euler=True):
                 break
         if not improved.any():
             break
+        took = np.flatnonzero(improved)
+        ratios[took, it % checks.FORECAST_WINDOW] = np.abs(vals[took]) / before[took]
+        live[took] = on_course(np.abs(vals[took]), ratios[took], it, reach)
     k = int(np.argmin(np.abs(vals)))
     return Z[k], abs(vals[k])
 
@@ -616,6 +636,7 @@ def descent_loop_reference(basis, coeffs, owner, Z, floor, level, retire=False, 
     reference: a polynomial stays live while any of its rows improved, and
     every row of a live polynomial is retried.  With ``retire`` each row
     stays live only while it improves, as in _descend_to_zero.  Either way a
+    row that improves is tried again only while it is ``on_course``, and a
     polynomial settles once one of its rows is below that row's ``level``,
     on the starts or after an iteration, and then none of its rows is tried
     again.  It values the starts once and each line-search try once, one
@@ -631,12 +652,16 @@ def descent_loop_reference(basis, coeffs, owner, Z, floor, level, retire=False, 
     key = np.arange(len(Z)) if retire else owner
     live = np.ones(len(Z) if retire else len(coeffs), dtype=bool)
     iterations = np.zeros(len(coeffs), dtype=np.int64)
+    reach = checks.FORECAST_MARGIN * checks.ROOT_ABS_RTOL * np.abs(coeffs).max(axis=1)[owner]
+    ratios = np.zeros((len(Z), checks.FORECAST_WINDOW))
+    ahead = np.ones(len(Z), dtype=bool)
     for it in range(1, 51):
+        before = np.abs(vals[:, 0])
         for g in range(len(coeffs)):
             mine = owner == g
             if (np.abs(vals[mine, 0]) < level[mine]).any():
                 live[key[mine]] = False
-        rows = np.flatnonzero(live[key])
+        rows = np.flatnonzero(live[key] & ahead)
         if not len(rows):
             break
         iterations[owner[rows]] = it
@@ -648,7 +673,7 @@ def descent_loop_reference(basis, coeffs, owner, Z, floor, level, retire=False, 
         step = np.zeros_like(G)
         step[safe] = -(v[safe, :1] * np.conj(G[safe])) / gn2[safe, None]
         t, av, fl = np.ones(len(rows)), np.abs(v[:, 0]), floor[own, None]
-        improved = np.zeros(len(live), dtype=bool)
+        took = np.zeros(len(Z), dtype=bool)
         for halving in range(8):
             cand = z + t[:, None] * step
             np.maximum(cand.imag, fl, out=cand.imag)
@@ -659,13 +684,18 @@ def descent_loop_reference(basis, coeffs, owner, Z, floor, level, retire=False, 
             if better.any():
                 done = rows[better]
                 Z[done], vals[done] = cand[better], cv[better]
-                improved[key[done]] = True
+                took[done] = True
                 keep = ~better
                 if not keep.any():
                     break
                 rows, own, z, w, step, t, av, fl = (
                     a[keep] for a in (rows, own, z, w, step, t, av, fl))
             t = t * 0.5
+        done = np.flatnonzero(took)
+        ratios[done, it % checks.FORECAST_WINDOW] = np.abs(vals[done, 0]) / before[done]
+        ahead[done] = on_course(np.abs(vals[done, 0]), ratios[done], it, reach[done])
+        improved = np.zeros(len(live), dtype=bool)
+        improved[key[took & ahead]] = True
         live &= improved
     return Z, vals[:, 0], iterations
 
@@ -849,6 +879,72 @@ def test_descent_does_not_retry_stopped_rows(corpus_descents):
     # Retired rows may be valued in the full-step batch, but they carry a
     # zero step and are never accepted.
     assert sum(run[2] for run in corpus_descents) < sum(run[3] for run in corpus_descents)
+
+
+def member(p, q, theta):
+    return p.scaled(float(np.cos(theta))) + q.scaled(float(np.sin(theta)))
+
+
+def test_a_steady_rate_that_reaches_the_threshold_at_the_cap_still_fails():
+    # the best start of this member shrinks |p| by a steady 0.633 per
+    # iteration and crosses the threshold only in the last one: the forecast
+    # must keep it to the cap
+    p, q, _ = planted_pairs(10)[7]
+    poly = member(p, q, 1.8272780853965576)
+    rep = check_real_stable(poly, SampleConfig(seed=1780383266, count=50))
+    threshold = checks.ROOT_ABS_RTOL * poly.max_coeff_magnitude()
+    assert rep.verdict == "fail" and rep.details["descent_iterations"] == 50
+    assert rep.witness["abs_value"] == pytest.approx(2.684e-10, rel=1e-3)
+    assert threshold == pytest.approx(3.28e-10, rel=1e-3)
+    assert lemma11_probe(p, q, members=5).members_falsified == 4
+
+
+def test_a_start_that_leaves_a_plateau_still_fails():
+    # the best start of this member lowers |p| by 0.97, 0.96, 0.93 per
+    # iteration from iteration 4 on, then speeds up to a steady 0.27 and
+    # settles in iteration 29.  On its slowest three ratios alone it would
+    # retire in iteration 5; its improving rate keeps it on course
+    p, q, _ = planted_pairs(1)[7]
+    poly = member(p, q, 2.2457667149929414)
+    rep = check_real_stable(poly, SampleConfig(seed=1748600, count=50))
+    assert rep.verdict == "fail" and rep.details["descent_iterations"] == 29
+
+
+def test_on_course_forecasts_from_the_last_ratios():
+    reach = np.array([1e-7])
+    steady = np.array([[0.9, 0.9, 0.9]])
+    # 1e-3 * 0.9**40 = 1.5e-5 stays above reach, 1e-3 * 0.5**40 does not
+    assert not checks._on_course(np.array([1e-3]), steady, 10, reach)[0]
+    assert checks._on_course(np.array([1e-3]), steady * 0.5 / 0.9, 10, reach)[0]
+    # a ratio not yet taken counts as 0
+    assert checks._on_course(np.array([1e3]), np.array([[0.0, 0.9, 0.9]]), 2, reach)[0]
+    # the newest ratio, in slot 10 % 3 = 1, improves on the one before (in
+    # slot 0) by 0.95, which the forecast credits 40 * 41 / 2 times; a ratio
+    # that got worse earns no credit, and the smallest one rules
+    improving = np.array([[0.9, 0.95 * 0.9, 0.9]])
+    assert checks._on_course(np.array([1e-3]), improving, 10, reach)[0]
+    assert not checks._on_course(np.array([1e-3]), improving[:, [1, 0, 2]], 10, reach)[0]
+
+
+def test_lemma11_keeps_its_falsifying_power():
+    # every fail report and falsified member that lemma11_probe finds on the
+    # pair corpus and three planted seeds, at its default 50 members.  A
+    # member lost in a pair with other falsified members leaves the pair's
+    # verdicts as they were, so only the count shows it
+    pairs = [(case.p, case.q) for case in pair_cases()]
+    pairs += [(p, q) for seed in (1, 2, 3) for p, q, _ in planted_pairs(seed)]
+    probes = [lemma11_probe(p, q) for p, q in pairs]
+    fails = sum(rep.verdict == "fail" for probe in probes for rep in (probe.combined, probe.pencil))
+    assert (fails, sum(probe.members_falsified for probe in probes),
+            sum(probe.members_checked for probe in probes)) == (53, 957, 2800)
+
+
+def test_a_hunt_without_a_zero_stops_before_the_cap():
+    # every start of (z1 + i)(z2 + i) lowers |p| ever more slowly toward the
+    # zeros below the floor; each retires once its rate cannot reach the
+    # threshold, where the descent ran 45 iterations without that rule
+    rep = check_stable(sp(2, {(1, 1): 1.0, (1, 0): 1j, (0, 1): 1j, (0, 0): -1.0}))
+    assert rep.verdict == "inconclusive" and rep.details["descent_iterations"] == 8
 
 
 def test_hunts_without_a_zero_are_untouched_by_the_settle_rule(monkeypatch):

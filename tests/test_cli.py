@@ -323,6 +323,19 @@ def test_stable_inconclusive_when_no_root(tmp_path, capsys):
     assert doc["verdicts"]["stable"] == "inconclusive"
 
 
+def test_stable_evidence_gives_the_descent_iterations(tmp_path, capsys):
+    # (z1 + i)(z2 + i) has no upper zero; its starts retire once their rate
+    # cannot reach the threshold, well before the 50-iteration cap.  A
+    # one-variable hunt takes roots and descends 0 iterations
+    path = poly_file(tmp_path, "fine.json",
+                     sp(2, {(1, 1): 1.0, (1, 0): 1j, (0, 1): 1j, (0, 0): -1.0}))
+    code, doc = run(capsys, ["stable", path])
+    assert code == 6 and doc["witnesses"]["stable"]["descent_iterations"] == 8
+    path = poly_file(tmp_path, "root.json", sp(1, {(1,): 1.0, (0,): -1j}))
+    code, doc = run(capsys, ["stable", path])
+    assert code == 1 and doc["witnesses"]["stable"]["descent_iterations"] == 0
+
+
 def test_stable_real_flag(tmp_path, capsys):
     path = poly_file(tmp_path, "complexed.json", sp(1, {(1,): 1.0, (0,): 1j}))
     code, doc = run(capsys, ["stable", path, "--real"] + FAST)
