@@ -259,13 +259,19 @@ class MatrixPoly:
         # matrix*matrix needs equal sizes; a scalar factor broadcasts over the other
         if self.m != other.m and 1 not in (self.m, other.m):
             raise DimensionMismatch("matrix sizes differ: %d vs %d" % (self.m, other.m))
+        prods, sums = self._products(other)
+        return MatrixPoly._collect(self.d, prods.shape[-1], list(map(tuple, sums.tolist())), prods)
+
+    def _products(self, other):
+        """The terms of self * other before they are collected: the (T, m, m)
+        stack of every product of a term of self with a term of other, i-major
+        (a matmul for equal m, else the scalar factor broadcast), and the
+        (T, d) exponent sums."""
         m = max(self.m, other.m)
         left, right = self._coeffs[:, None], other._coeffs[None, :]
         prods = np.matmul(left, right) if self.m == other.m else left * right
         sums = self._exponents()[:, None] + other._exponents()[None, :]
-        sums = sums.reshape(len(self.terms) * len(other.terms), self.d)
-        keys = list(map(tuple, sums.tolist()))
-        return MatrixPoly._collect(self.d, m, keys, prods.reshape(-1, m, m))
+        return prods.reshape(-1, m, m), sums.reshape(len(self.terms) * len(other.terms), self.d)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):

@@ -127,14 +127,50 @@ def _imag_coeff_excess(coeffs):
     return worst if worst > COEFF_REAL_RTOL * max(np.abs(coeffs).max(initial=0.0), 1e-300) else 0.0
 
 
+def _exponent_groups(exps):
+    """For a (T, d) exponent array: the group of each row, equal rows in one
+    group.  The rows are coded by mixed radix for one np.unique over
+    integers, unless the codes could overflow int64."""
+    radices = [int(r) + 1 for r in exps.max(axis=0, initial=0)]
+    if np.prod(radices, dtype=object) < 2 ** 62:
+        places = np.cumprod([1] + radices, dtype=np.int64)[:-1]
+        return np.unique(exps @ places, return_inverse=True)[1]
+    return np.unique(exps, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+@_quiet
 def identity_equal(f, h, rtol=IDENTITY_RTOL):
     """Whether num_f*den_h - num_h*den_f vanishes, at tolerance rtol relative
-    to the largest coefficient magnitude among the four operands."""
+    to the largest coefficient magnitude among the four operands.
+
+    The cross products (``MatrixPoly._products``) are summed on arrays, never
+    built as polynomials, with the additions of f.num*h.den - h.num*f.den in
+    their order: each side's products that share an exponent are added one
+    after another into zeros (``np.add.at`` goes in index order), then the
+    sides are subtracted.  So max|diff| is the same to the bit, and exact
+    cancellation stays exact.
+    Raises NonFiniteCoefficient, naming an exponent, when the difference is
+    not finite, as it is wherever a cross product overflowed.
+    """
     if f.d != h.d or f.m != h.m:
         return False
-    diff = f.num * h.den - h.num * f.den
+    (p, p_exps), (q, q_exps) = f.num._products(h.den), h.num._products(f.den)
+    exps = np.concatenate((p_exps, q_exps))
+    groups = _exponent_groups(exps)
+    mm = f.m * f.m
+    sides = np.zeros((2, groups.max(initial=-1) + 1, mm), dtype=np.complex128)
+    for side, (prods, rows) in zip(sides, ((p, groups[:len(p)]), (q, groups[len(p):]))):
+        # add.at over a flat array: per-index (m, m) blocks take its slow path
+        slots = (rows[:, None] * mm + np.arange(mm)).ravel()
+        np.add.at(side.reshape(-1), slots, prods.reshape(-1))
+    diff = sides[0] - sides[1]
+    finite = np.isfinite(diff).all(axis=1)
+    if not finite.all():
+        bad = int(np.flatnonzero(groups == np.flatnonzero(~finite)[0])[0])
+        raise NonFiniteCoefficient("non-finite coefficient at %r in a cross product"
+                                   % (tuple(exps[bad].tolist()),))
     operands = (f.num, f.den, h.num, h.den)
-    worst, bound = _identity_gap(diff._coeffs, [p._coeffs for p in operands], rtol)
+    worst, bound = _identity_gap(diff, [u._coeffs for u in operands], rtol)
     return worst <= bound
 
 

@@ -13,6 +13,8 @@ from darlington import (
     rotate_to_nevanlinna,
     rotate_to_positive_real,
 )
+from darlington import rational
+from darlington.poly import NonFiniteCoefficient
 from darlington.rational import _gcd_degree, _line_coeffs
 from corpus import herglotz_cases, ladder_cases, pair_cases
 
@@ -106,6 +108,86 @@ def test_identity_equal_cross_multiplies():
     k = RationalMatrixFunction(one(1), sp(1, {(1,): 1.0, (0,): 1e-6}))
     assert not identity_equal(f, k)
     assert not identity_equal(f, RationalMatrixFunction(one(2), sp(2, {(1, 0): 1.0})))
+
+
+def _random_poly(rng, d, m, terms, top):
+    """A sparse polynomial with up to ``terms`` random terms of exponents
+    in [0, top] per variable; the zero polynomial when terms is 0."""
+    exps = {tuple(int(e) for e in rng.integers(0, top + 1, d)) for _ in range(terms)}
+    return MatrixPoly(d, m, {e: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                             for e in exps})
+
+
+def _gaps(monkeypatch, f, h):
+    """max|diff| by identity_equal's array route, and by the polynomial
+    route f.num*h.den - h.num*f.den."""
+    seen = []
+    real_gap = rational._identity_gap
+
+    def spy(diff, operands, rtol):
+        seen.append(real_gap(diff, operands, rtol))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rational, "_identity_gap", spy)
+        identity_equal(f, h)
+    diff = f.num * h.den - h.num * f.den
+    return seen[0][0], float(np.abs(diff._coeffs).max(initial=0.0))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_identity_gap_is_the_polynomial_routes_to_the_bit(monkeypatch, d, m):
+    # scalar denominators times matrix numerators, colliding exponents, zero
+    # numerators, and pairs equal up to rounding, where the summation order
+    # decides the last bits of max|diff|
+    rng = np.random.default_rng([d, m])
+    for trial in range(30):
+        top = 2 if d else 0
+        num_f = _random_poly(rng, d, m, [0, 3, 8][trial % 3], top)
+        den_f = _random_poly(rng, d, 1, 4, top)
+        if trial % 2:
+            c = _random_poly(rng, d, 1, 3, 1 if d else 0)
+            f, h = RationalMatrixFunction(num_f, den_f), RationalMatrixFunction(num_f * c, den_f * c)
+        else:
+            num_h = _random_poly(rng, d, m, [5, 0, 2][trial % 3], top)
+            f = RationalMatrixFunction(num_f, den_f)
+            h = RationalMatrixFunction(num_h, _random_poly(rng, d, 1, 4, top))
+        new, old = _gaps(monkeypatch, f, h)
+        assert new == old
+        assert (new == 0.0) == (old == 0.0)
+
+
+def test_identity_gap_past_int64_exponent_codes(monkeypatch):
+    # per-variable exponents near 2**25 in three variables: the mixed-radix
+    # code would need 78 bits, so the groups come from rows, not codes
+    rng = np.random.default_rng(5)
+    big = 2 ** 25
+    rows = rng.integers(big - 2, big + 1, (6, 3))
+    assert (int(rows.max()) * 2 + 1) ** 3 > 2 ** 63
+    num = MatrixPoly(3, 2, {tuple(map(int, e)): rng.standard_normal((2, 2)) for e in rows})
+    den = MatrixPoly(3, 1, {tuple(map(int, e)): rng.standard_normal() for e in rows[:4]})
+    c = sp(3, {(1, 0, big): 1.5, (0, 0, 0): -0.5})
+    f, h = RationalMatrixFunction(num, den), RationalMatrixFunction(num * c, den * c)
+    new, old = _gaps(monkeypatch, f, h)
+    assert new == old
+    exps = np.array([[big, 0, 1], [0, big, 1], [big, 0, 1], [0, 0, 0]]) * 2 ** 20
+    groups = rational._exponent_groups(exps)
+    assert groups[0] == groups[2] and len(set(groups.tolist())) == 3
+
+
+def test_identity_equal_raises_on_an_overflowing_cross_product():
+    f = RationalMatrixFunction(sp(1, {(1,): 1e200, (0,): 1.0}), sp(1, {(0,): 1.0}))
+    h = RationalMatrixFunction(sp(1, {(0,): 1.0}), sp(1, {(2,): 1e200}))
+    with pytest.raises(NonFiniteCoefficient, match=r"\(3,\)"):
+        identity_equal(f, h)
+    with pytest.raises(NonFiniteCoefficient), np.errstate(over="ignore", invalid="ignore"):
+        f.num * h.den - h.num * f.den  # as the polynomial route does
+    # finite sides whose difference overflows raise too
+    g = RationalMatrixFunction(sp(1, {(0,): 1.5e308}), one(1))
+    k = RationalMatrixFunction(sp(1, {(0,): -1.5e308}), one(1))
+    with pytest.raises(NonFiniteCoefficient, match=r"\(0,\)"):
+        identity_equal(g, k)
 
 
 def test_rotations_are_inverse_and_map_frames():
