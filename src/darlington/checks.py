@@ -22,7 +22,7 @@ from .config import DEN_FLOOR_RTOL, SampleConfig, Tolerances, _is_int_at_least
 from .fileio import json_pairs
 from .lift import _pencil
 from .poly import MatrixPoly, _quiet
-from .rational import RationalMatrixFunction, _imag_coeff_excess
+from .rational import RationalMatrixFunction, _imag_coeff_excess, _roots
 
 ROOT_ABS_RTOL = 1e-10
 # a hunted polynomial settles, and stops descending, once a row is below
@@ -392,22 +392,6 @@ def _descend_to_zero(basis, coeffs, owner, Z, floor, level):
     return Z, vals[:, 0], iterations
 
 
-def _lifted_roots(c, floor):
-    """The roots of ``sum_k c[k] z^(n-k)``, each lifted onto the imaginary
-    floor the descent clips to, ``Re r + i max(Im r, floor)``: an (r, 1)
-    array.  Leading zeros are dropped first, and so is each leading
-    coefficient that a later one exceeds by a factor beyond the largest
-    double, as np.roots's companion matrix would overflow: the roots it
-    stands for lie where z^n overflows too, so p could not be valued there.
-    With every coefficient but the last dropped, there is no root.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratios = c / c[:, None]     # [j, k]: c_k / c_j
-    first = ((c != 0) & np.isfinite(np.triu(ratios, 1)).all(axis=1)).argmax()
-    r = np.roots(c[first:])
-    return (r.real + 1j * np.maximum(r.imag, floor))[:, None]
-
-
 def _hunt(d, keys, table, jobs, tols):
     """Reports for the polynomials in d variables whose coefficients at
     ``keys`` are the rows of the (G, T) ``table``: row i's report is named
@@ -415,8 +399,9 @@ def _hunt(d, keys, table, jobs, tols):
 
     A ``real`` row with non-real coefficients gets _non_real_report; a zero
     row fails; a row in 0 variables is a constant, and inconclusive.  In one
-    variable every other row's candidates are its own roots, lifted onto
-    its floor (``_lifted_roots``), and the one of smallest |p| decides: no
+    variable every other row's candidates are its own guarded roots
+    (``_roots``) lifted onto the floor the descent clips to,
+    ``Re r + i max(Im r, floor)``, and the one of smallest |p| decides: no
     point is drawn and nothing descends.  A row with no root is a constant
     c as far as floating point goes, and |p| = |c| = max|coeff|.  In d >= 2
     variables every other row draws its own upper points from cfg's seed
@@ -458,8 +443,9 @@ def _hunt(d, keys, table, jobs, tols):
     if d == 1:
         exps = np.array(keys)[:, 0]
         dense = np.zeros((len(hunted), exps.max() + 1), dtype=np.complex128)
-        dense[:, exps.max() - exps] = table[hunted]    # highest power first
-        pts = [_lifted_roots(c, fl) for c, fl in zip(dense, floor)]
+        dense[:, exps] = table[hunted]
+        pts = [(r.real + 1j * np.maximum(r.imag, fl))[:, None]
+               for r, fl in zip(map(_roots, dense), floor)]
     else:
         pts = [_points(cfg, d, ("upper",)) for cfg in cfgs]
     sizes = [len(x) for x in pts]

@@ -225,6 +225,23 @@ def _coeffs(p):
     return out
 
 
+def _scalar(p):
+    """Ascending coefficients of a scalar univariate MatrixPoly."""
+    return _coeffs(p)[:, 0, 0]
+
+
+def _roots(u):
+    """Roots of the polynomial with ascending coefficients u, complex.  Top
+    zeros are dropped, and so is each top coefficient that a lower one
+    exceeds beyond the largest double, as np.roots's companion matrix would
+    overflow: its roots lie where z^n overflows too, so p could not be
+    valued there.  With all but the constant dropped, there is no root."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratios = u / u[:, None]     # [j, k]: u_k / u_j
+    kept = (u != 0) & np.isfinite(np.tril(ratios, -1)).all(axis=1)
+    return np.roots(u[len(u) - 1 - kept[::-1].argmax()::-1]).astype(np.complex128)
+
+
 def _poly1(u):
     """The scalar univariate MatrixPoly with coefficients u."""
     u = np.array(u, dtype=np.complex128).reshape(-1, 1, 1)
@@ -362,7 +379,7 @@ def coprime_probe(f, lines=8, seed=DEFAULT_SEED):
 
     if d == 1:
         # a line a + t b only changes the variable affinely: restrict in z itself
-        restrictions = [(_coeffs(den)[:, 0, 0], _coeffs(num).reshape(-1, m * m) @ weights.T)]
+        restrictions = [(_scalar(den), _coeffs(num).reshape(-1, m * m) @ weights.T)]
     else:
         den_scale = max(den.max_coeff_magnitude(), 1e-300)
         den_deg = den.total_degree()

@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .poly import DimensionMismatch, MatrixPoly, NonFiniteCoefficient, _quiet
-from .rational import (RationalMatrixFunction, ReconstructionMismatch, _coeffs, _identity_gap,
-                       _imag_coeff_excess, _negate_argument, _poly1, _sub, _trim)
+from .rational import (RationalMatrixFunction, ReconstructionMismatch, _identity_gap,
+                       _imag_coeff_excess, _negate_argument, _poly1, _roots, _scalar, _sub, _trim)
 
 SPLIT_STRUCTURE_RTOL = 1e-7
 SPLIT_IDENTITY_RTOL = 1e-7
@@ -46,11 +46,6 @@ class SplitFailed(ArithmeticError):
     order 16, 1 of order 20, 29 of order 24).  A refusal is never a wrong
     closure.
     """
-
-
-def _scalar(p):
-    """Ascending coefficients of a scalar univariate MatrixPoly."""
-    return _coeffs(p)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -128,10 +123,11 @@ def _split_coupling(v):
     Hurwitz, kappa > 0.
 
     v(s) = U(s^2), so h has the roots -sqrt(u) over the roots u of U, and
-    h(s) h(-s) = (-1)^deg h U(s^2) / lead(U).  Returns (h, kappa).
-    """
+    h(s) h(-s) = (-1)^deg h U(s^2) / lead(U).  Returns (h, kappa).  After
+    the trim every coefficient of U is below 1e12 times its top, so the
+    overflow guard of ``_roots`` cannot fire."""
     u = _trim(v[0::2], 1e-12 * np.abs(v).max())
-    roots = np.roots(u[::-1]).astype(np.complex128)
+    roots = _roots(u)
     r = -np.sqrt(roots)
     # a negative root of U is a zero pair of v on the imaginary axis, of even
     # multiplicity when v keeps its sign there; when the roots come out real

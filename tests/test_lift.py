@@ -317,6 +317,26 @@ def test_realize_round_trips_through_rotation():
         assert identity_equal(real.closure(), g.normalize(), rtol=1e-7), name
 
 
+def test_split_roots_never_need_the_overflow_guard(monkeypatch):
+    # after the split's 1e-12 max|v| trim no coefficient ratio reaches 1e12,
+    # so bare np.roots gives the same entries; the split looks _roots up in
+    # realization's namespace
+    def entries(real):
+        parts = [real.a, real.b, real.c, real.d] + ([real.residual] if real.residual else [])
+        return [(g.num._coeffs.tobytes(), g.den._coeffs.tobytes()) for g in parts] + [real.kappa]
+
+    def realized(f):
+        try:
+            return entries(realize_1d(f))
+        except SplitFailed as exc:
+            return str(exc)
+
+    cases = [lad.function() for lad in ladder_cases(34, range(1, 17), 3)]
+    guarded = [realized(f) for f in cases]
+    monkeypatch.setattr(realization, "_roots", lambda u: np.roots(u[::-1]))
+    assert [realized(f) for f in cases] == guarded
+
+
 def lift_halves(source):
     """The pencil halves by the lift: decompose in the upper half-plane
     frame, then rotate each half back with its own phase."""

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from darlington import (
 )
 from darlington import rational
 from darlington.poly import NonFiniteCoefficient
-from darlington.rational import _gcd_degree, _line_coeffs
+from darlington.rational import _gcd_degree, _line_coeffs, _roots
 from corpus import herglotz_cases, ladder_cases, pair_cases
 
 
@@ -407,6 +408,37 @@ def test_line_coefficients_match_the_convolution_reference():
             assert got.shape == (len(want) + extra, p.m, p.m)
             assert np.abs(got[: len(want)] - want).max() <= tol, p
             assert np.abs(got[len(want):]).max(initial=0.0) <= tol, p
+
+
+def test_roots_are_numpys_on_the_reversed_coefficients():
+    # top zeros, zero constants and complex coefficients: the guard keeps
+    # every nonzero top here, so the roots are np.roots's to the bit
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        u = rng.standard_normal(rng.integers(1, 9))
+        if rng.random() < 0.5:
+            u = u + 1j * rng.standard_normal(len(u))
+        u[rng.random(len(u)) < 0.25] = 0.0
+        u = np.concatenate((u, np.zeros(rng.integers(0, 3))))
+        want = np.roots(u[::-1]).astype(np.complex128)
+        got = _roots(u)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), u
+
+
+def test_roots_drop_a_top_coefficient_that_would_overflow():
+    # 1/5e-324 overflows, so 5e-324 z^2 + 1 leaves the constant: no root,
+    # and no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _roots(np.array([1.0, 0.0, 5e-324])).shape == (0,)
+        assert _roots(np.array([1.0, 1.0, 1e-320])).tolist() == [-1.0]
+
+
+def test_roots_of_a_real_input_are_complex():
+    got = _roots(np.array([2.0, -3.0, 1.0]))
+    assert got.dtype == np.complex128
+    assert sorted(got.tolist(), key=abs) == pytest.approx([1.0, 2.0])
 
 
 def test_immutable():
