@@ -68,9 +68,10 @@ def _resolve_seed(arg_seed):
 
 
 def _point(at):
-    """The coordinates of --at, each a finite complex number, or ValueError."""
+    """The coordinates of --at, each a finite complex number, or ValueError;
+    an empty --at is the point of a 0-variable function."""
     try:
-        point = [complex(tok) for tok in at.split(",")]
+        point = [complex(tok) for tok in at.split(",")] if at else []
     except ValueError:
         raise ValueError("--at expects comma-separated complex numbers like 1+2j,0.5-0.1j")
     if not all(cmath.isfinite(c) for c in point):

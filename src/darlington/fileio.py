@@ -93,7 +93,7 @@ def _parse_terms(raw, d, m, label):
 def function_from_dict(obj):
     """Parse a function document; returns (function, frame)."""
     _require(isinstance(obj, dict), "document must be a JSON object")
-    _require(obj.get("schema_version") == SCHEMA_VERSION,
+    _require(type(obj.get("schema_version")) is int and obj["schema_version"] == SCHEMA_VERSION,
              "schema_version must be %d" % SCHEMA_VERSION)
     d, m = obj.get("d"), obj.get("m")
     _require(isinstance(d, int) and not isinstance(d, bool) and d >= 0, "d must be an integer >= 0")

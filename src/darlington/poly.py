@@ -20,8 +20,8 @@ zero after arithmetic; nothing is purged by tolerance.  Instances are
 immutable, which is what makes the evaluation plan safe to cache: it is
 built on the first evaluation and kept for the life of the instance.
 
-The canonical term order everywhere (iteration, leading coefficient,
-serialization) is graded lexicographic, highest first.
+``terms`` iterates in construction order; ``ordered_terms``, the leading
+coefficient, evaluation and serialization use graded-lex, highest first.
 """
 
 from __future__ import annotations

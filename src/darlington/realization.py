@@ -17,13 +17,14 @@ factor of b*c across s -> -s: all four entries share it.  Only the coupling
 numerator is factored, as kappa h(s) h(-s) with h real and Hurwitz; it is
 even, so its roots come from a polynomial of half its degree in s^2.  All
 of this runs on real coefficient arrays; MatrixPoly appears only in the
-returned entries.
+returned entries.  The closure is checked once, on the arrays of each
+variant, and closure() returns that same closure.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,8 +58,9 @@ class LFTRealization:
     "lossless-trivial" (numerator and denominator both already real:
     f = a and the load decouples).  Every entry, and the residual, is over
     the one denominator a.den.  kappa is the positive constant of the
-    coupling factorization (None when there was nothing to factor).
-    r is the load multiplicity, always 1 here.
+    coupling factorization (None when there was nothing to factor).  loop
+    holds the numerator and denominator coefficients of the closure that
+    realize_1d checked.  r is the load multiplicity, always 1 here.
     """
 
     variant: str
@@ -69,6 +71,7 @@ class LFTRealization:
     kappa: Optional[float]
     residual: Optional[RationalMatrixFunction]
     source: RationalMatrixFunction
+    loop: tuple = field(repr=False, compare=False)
     r: int = 1
 
     def block(self):
@@ -77,27 +80,11 @@ class LFTRealization:
         block = stack.swapaxes(0, 1).reshape(-1, 2, 2)
         return RationalMatrixFunction(MatrixPoly._from_stack(1, 2, keys, block), self.a.den)
 
-    def _closed(self):
-        """Numerator and denominator coefficients of the loop closure."""
-        num, den = _scalar(self.a.num), _scalar(self.a.den)
-        if self.variant == "lossless-trivial":
-            return num, den
-        if self.variant == "affine-residual":
-            return _sub(num, -_scalar(self.residual.num)), den
-        shifted = _sub(den, -_scalar(self.d.num))  # (d + 1) den
-        return (_sub(np.convolve(num, shifted),
-                     np.convolve(_scalar(self.b.num), _scalar(self.c.num))),
-                np.convolve(den, shifted))
-
     def closure(self):
-        """The loop closure as one exact rational function.
-
-        lft: a - b*c/(d + 1); affine-residual: a + residual;
-        lossless-trivial: a.
-        """
-        if self.variant == "lossless-trivial":
-            return self.a
-        return RationalMatrixFunction(*map(_poly1, self._closed()))
+        """The loop closure that realize_1d checked, as one exact rational
+        function: lft a - b*c/(d + 1), affine-residual a + residual,
+        lossless-trivial a."""
+        return RationalMatrixFunction(*map(_poly1, self.loop))
 
 
 def _require_identity(num_f, den_f, num_h, den_h, error, what, order):
@@ -214,27 +201,33 @@ def realize_1d(f):
 
     # every division below is by the leading coefficient of ``half``
     if not qt1.any() and not pt1.any():
-        half = None
+        half, loop = None, (num, den)
         zero = _over([], source.den)
-        real = LFTRealization("lossless-trivial", source, zero, zero, zero, None, None, source)
+        real = LFTRealization("lossless-trivial", source, zero, zero, zero, None, None, source,
+                              loop)
     elif not qt1.any():
         half = qt2
+        an, rn, dn1 = pt2 / half[-1], pt1 / half[-1], half / half[-1]
         with _overflow_names("block normalization", half):
-            den1 = _poly1(half / half[-1])
-            a, residual = _over(pt2 / half[-1], den1), _over(pt1 / half[-1], den1)
+            den1 = _poly1(dn1)
+            a, residual = _over(an, den1), _over(rn, den1)
         zero = _over([], den1)
-        real = LFTRealization("affine-residual", a, zero, zero, zero, None, residual, source)
+        loop = an + rn, dn1
+        real = LFTRealization("affine-residual", a, zero, zero, zero, None, residual, source, loop)
     else:
         half = _trim(qt1, 0.0)
+        an, dn, dn1 = pt1 / half[-1], qt2 / half[-1], half / half[-1]
         with _overflow_names("block normalization", half):
-            den1 = _poly1(half / half[-1])
-            a, dvar = _over(pt1 / half[-1], den1), _over(qt2 / half[-1], den1)
+            den1 = _poly1(dn1)
+            a, dvar = _over(an, den1), _over(dn, den1)
         with _overflow_names("coupling numerator", half):
-            bn, cn, kappa = _coupling(pt1, pt2, half, qt2, half / half[-1])
+            bn, cn, kappa = _coupling(pt1, pt2, half, qt2, dn1)
+        shifted = _sub(dn1, -dn)  # (d + 1) den1
+        loop = _sub(np.convolve(an, shifted), np.convolve(bn, cn)), np.convolve(dn1, shifted)
         real = LFTRealization("lft", a, _over(bn, den1), _over(cn, den1), dvar, kappa, None,
-                              source)
+                              source, loop)
 
     with _overflow_names("closure", half):
-        _require_identity(*real._closed(), num, den, ReconstructionMismatch,
+        _require_identity(*loop, num, den, ReconstructionMismatch,
                           "loop closure does not reproduce the input", len(den) - 1)
     return real

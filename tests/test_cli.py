@@ -505,6 +505,18 @@ def test_eval_wrong_arity(neg_inv, capsys):
     assert code == 2
 
 
+def test_eval_empty_point(tmp_path, neg_inv, capsys):
+    # an empty --at is zero coordinates: the point of a 0-variable function
+    f = RationalMatrixFunction(MatrixPoly.constant(0, 2.0 - 1j), one(0))
+    code, doc = run(capsys, ["eval", write(tmp_path, "const.json", f, "nevanlinna"), "--at="])
+    assert code == 0
+    assert doc["inputs"]["point"] == [] and doc["witnesses"]["value"] == [[[2.0, -1.0]]]
+    code = main(["eval", neg_inv, "--at="])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--at gave 0 coordinates for a 1-variable function" in captured.err
+
+
 @pytest.mark.parametrize("at", ["--at=inf", "--at=nanj", "--at=1e400"])
 def test_eval_non_finite_coordinate(neg_inv, capsys, at):
     code, doc = run(capsys, ["eval", neg_inv, at])

@@ -53,15 +53,18 @@ def test_rejects_unknown_frame():
         function_to_dict(sample_function(), "upper")
 
 
-def rejects(mutate):
+def rejects(mutate, match=None):
     doc = function_to_dict(sample_function(), "nevanlinna")
     mutate(doc)
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=match):
         function_from_dict(doc)
 
 
 def test_rejects_wrong_schema_version():
     rejects(lambda d: d.update(schema_version=2))
+    # 1 only as the integer, as for d, m and the exponents
+    for version in (True, 1.0):
+        rejects(lambda d: d.update(schema_version=version), r"^schema_version must be 1$")
 
 
 def test_rejects_bad_dimensions():

@@ -401,6 +401,28 @@ def test_realize_needs_no_matrix_poly_arithmetic(monkeypatch):
     real.block()
 
 
+def test_realize_reads_only_the_source_into_arrays(monkeypatch):
+    # each variant reads the source's numerator and denominator into arrays
+    # once; the loop it checks is built from its own arrays, and closure()
+    # wraps that loop without reading anything back
+    scalar, calls = realization._scalar, []
+    monkeypatch.setattr(realization, "_scalar", lambda p: calls.append(p) or scalar(p))
+    cases = {"lossless-trivial": pr({(2,): 1.0, (0,): 1.0}, {(1,): 1.0}),
+             "affine-residual": pr({(1,): 1.0, (0,): 1.0}, {(1,): 1.0}),
+             "lft": ladder_cases(11, [6], 1)[0].function()}
+    for variant, f in cases.items():
+        calls.clear()
+        real = realize_1d(f)
+        assert real.variant == variant
+        assert len(calls) == 2 and calls[0] is real.source.num and calls[1] is real.source.den
+        closure = real.closure()
+        assert len(calls) == 2
+        for p, u in zip((closure.num, closure.den), real.loop):
+            assert_same_poly(p, term_dict_poly1(u))
+        _require_identity(*real.loop, scalar(real.source.num), scalar(real.source.den),
+                          ReconstructionMismatch, "closure", 0)
+
+
 # The term dicts that the realization's stacks replaced, kept as their
 # bitwise reference.
 
@@ -438,7 +460,7 @@ def test_realization_stacks_are_bit_identical_to_term_dicts():
             continue   # realize_1d still refuses some valid ladders above order 20
         variants.append(real.variant)
         assert_same_poly(real.block().num, term_dict_block(real))
-        for u in real._closed():
+        for u in real.loop:
             assert_same_poly(_poly1(u), term_dict_poly1(u))
         for g in (real.a, real.b, real.c, real.d, real.block(), real.source):
             for p in (g.num, g.den):
